@@ -12,6 +12,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use ziv::common::Fnv1a;
 use ziv::core::AuditCadence;
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
@@ -108,6 +109,43 @@ fn smoke_campaign_ledger_is_byte_identical_across_runs() {
             a.result.metrics, b.result.metrics,
             "{} × {} metrics diverged",
             a.result.label, a.result.workload
+        );
+    }
+}
+
+/// Golden pin on the grid runner: a 2 × 2 grid digests to a fixed value
+/// at 1 and at 4 worker threads.
+#[test]
+fn grid_matches_its_golden_digest_at_every_thread_count() {
+    let sys = SystemConfig::scaled();
+    let scale = ScaleParams::from_system(&sys);
+    let specs = vec![
+        RunSpec::new("I-LRU", sys.clone()),
+        RunSpec::new("ZIV-LikelyDead", sys).with_mode(LlcMode::Ziv(ZivProperty::LikelyDead)),
+    ];
+    let wls = vec![
+        mixes::heterogeneous(0, 2, 1_500, 0x2026, scale),
+        mixes::homogeneous(apps::app_by_name("hotl2").unwrap(), 2, 1_500, 5, scale),
+    ];
+    for threads in [1, 4] {
+        let grid = run_grid(&specs, &wls, threads);
+        assert_eq!(grid.len(), 4);
+        let mut h = Fnv1a::new();
+        for g in &grid {
+            h.write_usize(g.spec_index);
+            h.write_usize(g.workload_index);
+            h.write_str(&g.result.label);
+            h.write_str(&g.result.workload);
+            for c in &g.result.cores {
+                h.write_u64(c.instructions);
+                h.write_u64(c.cycles);
+            }
+            h.write_str(&g.result.metrics.to_json().to_string());
+        }
+        assert_eq!(
+            h.finish(),
+            0x4247dab078f0038d,
+            "grid at {threads} thread(s)"
         );
     }
 }
