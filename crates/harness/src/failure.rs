@@ -10,7 +10,7 @@
 //! the record is a *repro*, not merely a log line.
 
 use crate::campaign::{campaigns, CampaignParams, CellDigest, CELL_SCHEMA_VERSION};
-use crate::supervise::run_one_guarded;
+use crate::supervise::{run_cells_supervised, NoopSuperviseObserver, SuperviseConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use ziv_common::json::{self, JsonValue};
@@ -334,12 +334,28 @@ pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
         audit: AuditCadence::EveryAccess,
         budget: Some(CellBudget::Cycles(record.budget_cycles)),
         observe: ziv_sim::ObserveConfig::disabled(),
-        sampling: None,
     };
-    // Guarded execution: a hang-core record parks the model again (the
-    // watchdog cancels it, reproducing the timeout) and a panic-core
-    // record panics again (contained, reproducing the internal error).
-    let (outcome, _) = run_one_guarded(&spec, &workload, &opts, Some(REPLAY_WALL_BUDGET));
+    // One cell on the supervised pool: a hang-core record parks the
+    // model again (the watchdog cancels it, reproducing the timeout)
+    // and a panic-core record panics again (contained, reproducing the
+    // internal error).
+    let sup = SuperviseConfig {
+        cell_timeout: Some(REPLAY_WALL_BUDGET),
+        ..SuperviseConfig::unsupervised()
+    };
+    let outcome = run_cells_supervised(
+        std::slice::from_ref(&spec),
+        std::slice::from_ref(&workload),
+        &[(0, 0)],
+        1,
+        &opts,
+        &sup,
+        &NoopSuperviseObserver,
+        None,
+    )
+    .pop()
+    .expect("the pool runs the one cell")
+    .outcome;
 
     let report = match outcome {
         Ok(_) => ReplayReport {

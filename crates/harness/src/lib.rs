@@ -22,6 +22,9 @@
 //!   (a stable FNV-1a digest of the cell's semantic fields; see
 //!   `DESIGN.md` for what is and is not digested). Hand-rolled JSON
 //!   (`ziv_common::json`) keeps the build dependency-free.
+//! - [`run_cells_supervised`]: the one multi-cell pool. [`run_grid`]
+//!   (every `spec × workload`, unsupervised), [`run_campaign`], and
+//!   [`replay`] all run their cells on it.
 //! - [`run_campaign`]: the runner — partitions cells into cached and
 //!   missing, executes the missing ones on the supervised worker pool
 //!   ([`run_cells_supervised`]: watchdog-cancelled hangs, contained
@@ -89,7 +92,6 @@ pub use runner::{
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use supervise::{
     default_stall_window, execute_with_retry, oversubscription_factor, run_cells_supervised,
-    run_cells_supervised_probed, run_one_guarded, NoopSuperviseObserver, SuperviseConfig,
-    SuperviseObserver, SupervisedRun,
+    run_grid, NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};

@@ -46,10 +46,12 @@ pub fn derived_budget(workload: &Workload) -> u64 {
         .max(10_000_000)
 }
 
-/// Robustness and observability options for a checked run: audit
-/// cadence, watchdog budget, and the flight-recorder configuration.
-/// The default (`audit off`, no budget, observe nothing) makes
-/// [`run_one_checked`] behave exactly like [`run_one`].
+/// Robustness and observability options for a run: audit cadence,
+/// watchdog budget, and the flight-recorder configuration. The default
+/// (`audit off`, no budget, observe nothing) makes [`run_one_checked`]
+/// behave exactly like [`run_one`]. Sampled runs take their
+/// [`SamplingPlan`](crate::SamplingPlan) as a separate argument and
+/// honour `audit` and `budget` but not `observe`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// How often the auditor walks the hierarchy.
@@ -60,14 +62,6 @@ pub struct RunOptions {
     /// Never digested and never serialized into result ledgers:
     /// observing a run must not change its outcome.
     pub observe: ObserveConfig,
-    /// Statistical sampling plan, consumed by
-    /// [`run_one_sampled`](crate::run_one_sampled)'s interval-sampling
-    /// loop. The full-run entry points (`run_one*`) ignore it — callers
-    /// route sampled runs explicitly — so `None` (the default) keeps
-    /// every existing path byte-identical to pre-sampling builds.
-    /// Sampled results are estimates and are never written to the
-    /// content-addressed result ledger.
-    pub sampling: Option<crate::sampling::SamplingPlan>,
 }
 
 impl Default for RunOptions {
@@ -76,7 +70,6 @@ impl Default for RunOptions {
             audit: AuditCadence::Off,
             budget: None,
             observe: ObserveConfig::disabled(),
-            sampling: None,
         }
     }
 }
@@ -205,74 +198,365 @@ pub fn run_one_checked(
     run_one_traced(spec, workload, opts).0
 }
 
+/// The per-cell simulation engine both drivers share: the hierarchy
+/// with its recorder, profiler and epoch slicer attached, the per-core
+/// trace cursors and clocks, and the checks that follow every access.
+///
+/// The full driver ([`run_one_instrumented`]) and the sampled driver
+/// ([`run_one_sampled_instrumented`](crate::run_one_sampled_instrumented))
+/// differ only in which core may issue next, which stream position each
+/// access carries, and what they do between accesses; everything that
+/// touches the hierarchy goes through [`Engine::issue`].
+pub(crate) struct Engine<'a> {
+    pub(crate) h: CacheHierarchy,
+    workload: &'a Workload,
+    pub(crate) base_cpi: f64,
+    /// Next record index per core.
+    pub(crate) cursor: Vec<usize>,
+    /// Per-core cycle clocks.
+    pub(crate) cycles: Vec<f64>,
+    /// Per-core retired instructions.
+    pub(crate) instructions: Vec<u64>,
+    /// Accesses issued so far, over the global stream.
+    pub(crate) issued: u64,
+    auditor: Auditor,
+    budget_cycles: Option<u64>,
+    observing: bool,
+    profiling: bool,
+    slicer: Option<EpochSlicer>,
+    cancel: Option<&'a CancelToken>,
+    probe: Option<&'a dyn TelemetryProbe>,
+}
+
+impl<'a> Engine<'a> {
+    /// Builds the hierarchy for `workload` under `spec` and attaches
+    /// whatever `opts.observe` asks for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload's core count exceeds the system's.
+    pub(crate) fn new(
+        spec: &RunSpec,
+        workload: &'a Workload,
+        opts: &RunOptions,
+        cancel: Option<&'a CancelToken>,
+        probe: Option<&'a dyn TelemetryProbe>,
+    ) -> Self {
+        let mut h = CacheHierarchy::new(&spec.build_hierarchy_config(workload));
+        let ncores = workload.cores();
+        assert!(
+            ncores <= spec.system.cores,
+            "workload has {ncores} cores but the system has {}",
+            spec.system.cores
+        );
+        if let Some(mut rec) = FlightRecorder::new(
+            &opts.observe,
+            ncores,
+            spec.system.llc.banks,
+            spec.system.llc.bank_geometry.sets as usize,
+        ) {
+            // The leakage observatory needs the workload's attack roles,
+            // so the engine (not the recorder constructor) attaches it.
+            if opts.observe.leakage {
+                if let Some(plan) = workload.attack.as_ref() {
+                    rec.attach_leakage(ziv_core::LeakageObservatory::new(
+                        ncores,
+                        spec.system.llc.banks,
+                        spec.system.llc.bank_geometry.sets as usize,
+                        &plan.attacker_cores,
+                        &plan.victim_cores,
+                        &plan.probe_lines,
+                    ));
+                }
+            }
+            h.attach_recorder(rec);
+        }
+        let profiling = opts.observe.profile;
+        if profiling {
+            h.attach_profiler(Box::new(SelfProfiler::new()));
+        }
+        Engine {
+            h,
+            workload,
+            base_cpi: spec.system.base_cpi,
+            cursor: vec![0; ncores],
+            cycles: vec![0.0; ncores],
+            instructions: vec![0; ncores],
+            issued: 0,
+            auditor: Auditor::new(opts.audit),
+            budget_cycles: opts.budget.map(|b| b.cycles_for(workload)),
+            observing: opts.observe.is_enabled(),
+            profiling,
+            slicer: opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores)),
+            cancel,
+            probe,
+        }
+    }
+
+    /// Polls the cancel token and, every 256 accesses, reports progress
+    /// to it and publishes a probe snapshot tagged with `stratum` (0 for
+    /// full runs; the sampling phase code otherwise). Without a token
+    /// or a probe each site is a single never-taken branch, so
+    /// unsupervised, unwatched runs stay byte-identical.
+    #[inline(always)]
+    pub(crate) fn poll(&self, stratum: u64) -> Result<(), SimError> {
+        if let Some(tok) = self.cancel {
+            if let Some(reason) = tok.fired(self.issued) {
+                return Err(SimError::Timeout {
+                    reason,
+                    access_index: self.issued,
+                });
+            }
+            // Fine-grained enough (256 accesses) that a supervisor's
+            // stall detector can tell a slow cell from a wedged one
+            // even in unoptimized builds.
+            if self.issued & 0xFF == 0 {
+                tok.note_progress(self.issued);
+            }
+        }
+        if let Some(p) = self.probe {
+            if self.issued & 0xFF == 0 {
+                p.publish_progress(&self.probe_snapshot(stratum));
+            }
+        }
+        Ok(())
+    }
+
+    /// Reports progress to the cancel token, if any (after a bulk
+    /// fast-forward that bypassed [`Engine::poll`]).
+    pub(crate) fn note_progress(&self) {
+        if let Some(tok) = self.cancel {
+            tok.note_progress(self.issued);
+        }
+    }
+
+    /// A [`ProbeSnapshot`] of the running state — a few counter reads,
+    /// no allocation.
+    fn probe_snapshot(&self, stratum: u64) -> ProbeSnapshot {
+        let m = self.h.metrics();
+        ProbeSnapshot {
+            access_index: self.issued,
+            instructions: self.instructions.iter().sum(),
+            cycles: self.window(),
+            llc_accesses: m.llc_accesses,
+            llc_misses: m.llc_misses,
+            inclusion_victims: m.inclusion_victims,
+            relocations: m.relocations,
+            stratum,
+        }
+    }
+
+    /// The co-run window so far: the slowest core's clock.
+    pub(crate) fn window(&self) -> u64 {
+        self.cycles.iter().copied().fold(0f64, f64::max) as u64
+    }
+
+    /// The lagging core — smallest cycle clock, lowest index on ties —
+    /// among the cores `eligible` admits; `None` when it admits none.
+    /// Smallest-cycle-first issue is the deterministic global
+    /// interleaving of DESIGN.md §5.1.
+    #[inline(always)]
+    pub(crate) fn lagging_core(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut core = None;
+        let mut best = f64::INFINITY;
+        for (c, &cyc) in self.cycles.iter().enumerate() {
+            if eligible(c) && cyc < best {
+                best = cyc;
+                core = Some(c);
+            }
+        }
+        core
+    }
+
+    /// Issues `core`'s next trace record as global stream position
+    /// `seq`, charges its cycles and instructions, and advances the
+    /// core's cursor; returns whether that record ended the trace.
+    ///
+    /// A `checked` access is audited and budgeted (and profiled and
+    /// epoch-sliced when observing); the sampled driver issues its
+    /// functional-warm accesses unchecked.
+    ///
+    /// # Errors
+    ///
+    /// - [`SimError::Timeout`] when an injected hang wedged the model:
+    ///   the engine parks on wall-clock time until the cancel token
+    ///   fires, or fails at once when no token is attached.
+    /// - [`SimError::Audit`] / [`SimError::BudgetExceeded`] from the
+    ///   post-access checks.
+    #[inline(always)]
+    pub(crate) fn issue(&mut self, core: usize, seq: u64, checked: bool) -> Result<bool, SimError> {
+        let trace = &self.workload.traces[core];
+        let rec = trace.records[self.cursor[core]];
+        self.cursor[core] += 1;
+        let finishing = self.cursor[core] == trace.records.len();
+
+        let a = Access {
+            core: ziv_common::CoreId::new(core),
+            addr: rec.addr,
+            pc: rec.pc,
+            is_write: rec.is_write,
+            is_instr: false,
+        };
+        let now = self.cycles[core] as u64;
+        let t0 = (self.profiling && checked).then(std::time::Instant::now);
+        let lat = self.h.access(&a, now, seq);
+        if let Some(t0) = t0 {
+            self.h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
+        }
+        let exposed = lat as f64 * (1.0 - trace.overlap);
+        self.cycles[core] += (1 + rec.gap as u64) as f64 * self.base_cpi + exposed;
+        self.instructions[core] += 1 + rec.gap as u64;
+
+        let access_index = self.issued;
+        self.issued += 1;
+        if self.h.is_hung() {
+            // An injected hang wedged the model mid-access: no further
+            // progress is possible. Park on wall-clock time (the real
+            // hang signature) until the supervisor cancels us; without
+            // a supervisor, fail immediately instead of wedging the
+            // caller forever.
+            let reason = match self.cancel {
+                Some(tok) => loop {
+                    if let Some(reason) = tok.fired(self.issued) {
+                        break reason;
+                    }
+                    tok.note_progress(self.issued);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                },
+                None => "model hung (hang-core fault) with no supervisor attached".into(),
+            };
+            return Err(SimError::Timeout {
+                reason,
+                access_index,
+            });
+        }
+        if !checked {
+            return Ok(finishing);
+        }
+        if self.auditor.due() {
+            let t0 = self.profiling.then(std::time::Instant::now);
+            let verdict = Auditor::check(&self.h, access_index);
+            if let Some(t0) = t0 {
+                self.h.profile_add(ProfileSection::Audit, t0.elapsed());
+            }
+            if let Err(v) = verdict {
+                self.h.record_audit_violation(&v, now);
+                return Err(SimError::Audit(v));
+            }
+        }
+        if let Some(budget) = self.budget_cycles {
+            let c = self.cycles[core] as u64;
+            if c > budget {
+                return Err(SimError::BudgetExceeded {
+                    budget_cycles: budget,
+                    core,
+                    cycles: c,
+                    access_index,
+                });
+            }
+        }
+        if let Some(sl) = self.slicer.as_mut() {
+            if sl.due(self.issued) {
+                publish_core_clocks(&mut self.h, &self.instructions, &self.cycles);
+                sl.slice(self.issued, self.h.metrics());
+            }
+        }
+        Ok(finishing)
+    }
+
+    /// Ends a failed run: closes the epoch series at the failure point
+    /// (so partial samples still telescope to the metrics-at-failure)
+    /// and drains the observations, which failure records embed.
+    pub(crate) fn fail(
+        mut self,
+        err: SimError,
+    ) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
+        if let Some(sl) = self.slicer.as_mut() {
+            publish_core_clocks(&mut self.h, &self.instructions, &self.cycles);
+            sl.finish(self.issued, self.h.metrics());
+        }
+        let obs = self.observations();
+        (Err(err), obs)
+    }
+
+    /// Ends a completed run: finalizes the hierarchy, closes the epoch
+    /// series, and builds the [`RunResult`] from the per-core clocks.
+    /// The caller has already settled the per-core clocks and metrics
+    /// it wants reported.
+    pub(crate) fn finish(mut self, spec: &RunSpec) -> (RunResult, Option<Box<Observations>>) {
+        self.h.finalize();
+        debug_assert!(
+            self.h.verify_invariants().is_ok(),
+            "{:?}",
+            self.h.verify_invariants()
+        );
+        // The closing sample is taken *after* finalize(), so the epoch
+        // deltas sum exactly to the final aggregate metrics.
+        if let Some(sl) = self.slicer.as_mut() {
+            sl.finish(self.issued, self.h.metrics());
+        }
+        let observations = self.observations();
+        let result = RunResult {
+            label: spec.label.clone(),
+            workload: self.workload.name.clone(),
+            cores: (0..self.cursor.len())
+                .map(|c| CoreRunStats {
+                    instructions: self.instructions[c],
+                    cycles: self.cycles[c] as u64,
+                    app_name: self.workload.traces[c].app_name,
+                })
+                .collect(),
+            metrics: self.h.metrics().clone(),
+        };
+        (result, observations)
+    }
+
+    /// Drains the slicer and the hierarchy's recorder into the run's
+    /// observation payload; `None` when observability was disabled.
+    /// The leakage report is stamped with the co-run window so its
+    /// per-Mcycle rate is well-defined.
+    fn observations(&mut self) -> Option<Box<Observations>> {
+        if !self.observing {
+            return None;
+        }
+        let window_cycles = self.window();
+        let h = &mut self.h;
+        let (events, events_recorded, heatmap, latency, leakage, forensics) =
+            match h.take_recorder() {
+                Some(rec) => rec.finish(),
+                None => (Vec::new(), 0, None, None, None, None),
+            };
+        let leakage = leakage.map(|mut l| {
+            l.cycles = window_cycles;
+            l
+        });
+        let profile = h.take_profiler().map(|p| p.report());
+        Some(Box::new(Observations {
+            epochs: self
+                .slicer
+                .take()
+                .map_or_else(Vec::new, EpochSlicer::into_samples),
+            events,
+            events_recorded,
+            heatmap,
+            latency,
+            leakage,
+            forensics,
+            profile,
+            dir_slice_occupancy: h.directory().slice_occupancies(),
+        }))
+    }
+}
+
 /// Publishes the driver's live per-core instruction/cycle clocks into
 /// the hierarchy's metrics so an epoch sample can report per-epoch IPC.
 /// Safe to do mid-run: nothing in the simulator reads these fields, and
-/// the end-of-run snapshot rewind overwrites them regardless.
+/// the end-of-run settlement overwrites them regardless.
 pub(crate) fn publish_core_clocks(h: &mut CacheHierarchy, instructions: &[u64], cycles: &[f64]) {
     let per_core = &mut h.metrics_mut().per_core;
     for c in 0..instructions.len() {
         per_core[c].instructions = instructions[c];
         per_core[c].cycles = cycles[c] as u64;
-    }
-}
-
-/// Drains the slicer and the hierarchy's recorder into the run's
-/// observation payload; `None` when observability was disabled.
-/// `window_cycles` is the co-run window length (the slowest core's
-/// clock) stamped into the leakage report so its per-Mcycle rate is
-/// well-defined.
-pub(crate) fn collect_observations(
-    h: &mut CacheHierarchy,
-    slicer: Option<EpochSlicer>,
-    observing: bool,
-    window_cycles: u64,
-) -> Option<Box<Observations>> {
-    if !observing {
-        return None;
-    }
-    let (events, events_recorded, heatmap, latency, leakage, forensics) = match h.take_recorder() {
-        Some(rec) => rec.finish(),
-        None => (Vec::new(), 0, None, None, None, None),
-    };
-    let leakage = leakage.map(|mut l| {
-        l.cycles = window_cycles;
-        l
-    });
-    let profile = h.take_profiler().map(|p| p.report());
-    Some(Box::new(Observations {
-        epochs: slicer.map_or_else(Vec::new, EpochSlicer::into_samples),
-        events,
-        events_recorded,
-        heatmap,
-        latency,
-        leakage,
-        forensics,
-        profile,
-        dir_slice_occupancy: h.directory().slice_occupancies(),
-    }))
-}
-
-/// Build a [`ProbeSnapshot`] from the driver's running state — a few
-/// counter reads, no allocation. Shared with the sampling loop, which
-/// passes its current phase as `stratum`.
-pub(crate) fn probe_snapshot(
-    h: &CacheHierarchy,
-    instructions: &[u64],
-    cycles: &[f64],
-    issued: u64,
-    stratum: u64,
-) -> ProbeSnapshot {
-    let m = h.metrics();
-    ProbeSnapshot {
-        access_index: issued,
-        instructions: instructions.iter().sum(),
-        cycles: cycles.iter().copied().fold(0f64, f64::max) as u64,
-        llc_accesses: m.llc_accesses,
-        llc_misses: m.llc_misses,
-        inclusion_victims: m.inclusion_victims,
-        relocations: m.relocations,
-        stratum,
     }
 }
 
@@ -286,40 +570,26 @@ pub fn run_one_traced(
     workload: &Workload,
     opts: &RunOptions,
 ) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    run_one_supervised(spec, workload, opts, None)
+    run_one_instrumented(spec, workload, opts, None, None)
 }
 
-/// [`run_one_traced`] under an optional cooperative [`CancelToken`].
+/// [`run_one_traced`] under an optional cooperative [`CancelToken`] and
+/// an optional live-telemetry probe.
 ///
 /// When `cancel` is `Some`, the access loop polls the token once per
 /// access (one relaxed atomic load) and publishes coarse progress; a
 /// fired token stops the run with [`SimError::Timeout`] carrying the
-/// cancellation reason and the access position. When `cancel` is `None`
-/// the poll site is a single never-taken branch, so unsupervised runs
-/// stay byte-identical — the property the differential determinism
-/// tests pin.
+/// cancellation reason and the access position. A hierarchy wedged by
+/// [`ziv_core::FaultInjection::HangCore`] parks, burning wall-clock
+/// time (not simulated cycles) until the token fires; without a token
+/// the hang is converted into an immediate [`SimError::Timeout`] rather
+/// than wedging the caller forever.
 ///
-/// A hierarchy wedged by [`ziv_core::FaultInjection::HangCore`] parks
-/// here, burning wall-clock time (not simulated cycles) until the token
-/// fires; without a token the hang is converted into an immediate
-/// [`SimError::Timeout`] rather than wedging the caller forever.
-pub fn run_one_supervised(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-    cancel: Option<&CancelToken>,
-) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    run_one_instrumented(spec, workload, opts, cancel, None)
-}
-
-/// [`run_one_supervised`] plus an optional live-telemetry probe.
-///
-/// The probe mirrors the cancel token's cost model: when `probe` is
-/// `Some`, the access loop publishes a [`ProbeSnapshot`] every 256
-/// accesses (the cadence the supervisor already polls at); when `None`
-/// the publish site is a single never-taken branch, so unwatched runs
-/// add zero allocations and no mmap or clock syscalls to the hot path.
-/// Probes observe, never steer: results are byte-identical either way.
+/// When `probe` is `Some`, the loop publishes a [`ProbeSnapshot`] every
+/// 256 accesses (the cadence the supervisor already polls at). Probes
+/// observe, never steer: results are byte-identical either way. With
+/// both `None` each site is a single never-taken branch — the property
+/// the differential determinism tests pin.
 pub fn run_one_instrumented(
     spec: &RunSpec,
     workload: &Workload,
@@ -327,31 +597,19 @@ pub fn run_one_instrumented(
     cancel: Option<&CancelToken>,
     probe: Option<&dyn TelemetryProbe>,
 ) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    let hier_cfg = spec.build_hierarchy_config(workload);
-    let mut h = CacheHierarchy::new(&hier_cfg);
+    let mut e = Engine::new(spec, workload, opts, cancel, probe);
     let ncores = workload.cores();
-    assert!(
-        ncores <= spec.system.cores,
-        "workload has {ncores} cores but the system has {}",
-        spec.system.cores
-    );
-    let base_cpi = spec.system.base_cpi;
 
-    // Per-core progress state. Early-finishing cores restart their
-    // trace and keep running (the paper's protocol), so contention
-    // stays representative until the last core completes its segment;
-    // per-core statistics are snapshotted at each core's *first*
-    // completion.
-    let mut cursor = vec![0usize; ncores];
-    let mut cycles = vec![0f64; ncores];
-    let mut instructions = vec![0u64; ncores];
+    // Early-finishing cores restart their trace and keep running (the
+    // paper's protocol), so contention stays representative until the
+    // last core completes its segment; per-core statistics are
+    // snapshotted at each completed lap.
     let mut completed = vec![false; ncores];
     let mut snapshots: Vec<Option<(u64, u64, ziv_core::metrics::CoreMetrics)>> = vec![None; ncores];
     let mut done = 0usize;
     // Restarted records get fresh, never-in-the-future sequence numbers
     // so the MIN oracle treats them as never-reused.
-    let total_seq = workload.total_accesses() * ncores as u64;
-    let mut restart_seq = total_seq;
+    let mut restart_seq = workload.total_accesses() * ncores as u64;
     // Bound the restart inflation: a fast private-resident core
     // co-running with a slow streaming core could otherwise re-run its
     // trace a hundred times while the slowest finishes. A core parks
@@ -360,226 +618,66 @@ pub fn run_one_instrumented(
     // core is its LAP_CAP laps of co-run exposure.
     const LAP_CAP: u32 = 12;
     let mut laps = vec![0u32; ncores];
-    let mut issued = 0u64;
     let issue_cap = workload.total_accesses().saturating_mul(32); // backstop
-    let mut auditor = Auditor::new(opts.audit);
-    let budget_cycles = opts.budget.map(|b| b.cycles_for(workload));
-    let observing = opts.observe.is_enabled();
-    if let Some(mut rec) = FlightRecorder::new(
-        &opts.observe,
-        ncores,
-        spec.system.llc.banks,
-        spec.system.llc.bank_geometry.sets as usize,
-    ) {
-        // The leakage observatory needs the workload's attack roles, so
-        // the driver (not the recorder constructor) attaches it.
-        if opts.observe.leakage {
-            if let Some(plan) = workload.attack.as_ref() {
-                rec.attach_leakage(ziv_core::LeakageObservatory::new(
-                    ncores,
-                    spec.system.llc.banks,
-                    spec.system.llc.bank_geometry.sets as usize,
-                    &plan.attacker_cores,
-                    &plan.victim_cores,
-                    &plan.probe_lines,
+
+    let outcome = (|| -> Result<(), SimError> {
+        while done < ncores && e.issued < issue_cap {
+            e.poll(0)?;
+            // Everyone parked cannot happen before done == ncores.
+            let Some(core) = e.lagging_core(|c| laps[c] < LAP_CAP) else {
+                break;
+            };
+            // The policy-independent global stream position (round-robin
+            // by record index), shared with the MIN oracle's future
+            // knowledge.
+            let seq = if completed[core] {
+                restart_seq += 1;
+                restart_seq
+            } else {
+                (e.cursor[core] * ncores + core) as u64
+            };
+            if e.issue(core, seq, true)? {
+                e.cursor[core] = 0;
+                laps[core] += 1;
+                if !completed[core] {
+                    completed[core] = true;
+                    done += 1;
+                }
+                // Snapshot at every completed lap: the reported IPC then
+                // covers (nearly) the whole co-run window, so repeated
+                // inclusion-victim damage to fast cores is measured.
+                snapshots[core] = Some((
+                    e.instructions[core],
+                    e.cycles[core] as u64,
+                    e.h.metrics().per_core[core],
                 ));
             }
         }
-        h.attach_recorder(rec);
-    }
-    let profiling = opts.observe.profile;
-    if profiling {
-        h.attach_profiler(Box::new(SelfProfiler::new()));
-    }
-    let mut slicer = opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores));
-    let mut failure: Option<SimError> = None;
-
-    // Smallest-cycle-first global interleaving.
-    'sim: while done < ncores && issued < issue_cap {
-        if let Some(tok) = cancel {
-            if let Some(reason) = tok.fired(issued) {
-                failure = Some(SimError::Timeout {
-                    reason,
-                    access_index: issued,
-                });
-                break 'sim;
-            }
-            // Fine-grained enough (256 accesses) that a supervisor's
-            // stall detector can tell a slow cell from a wedged one
-            // even in unoptimized builds.
-            if issued & 0xFF == 0 {
-                tok.note_progress(issued);
-            }
-        }
-        if let Some(p) = probe {
-            if issued & 0xFF == 0 {
-                p.publish_progress(&probe_snapshot(&h, &instructions, &cycles, issued, 0));
-            }
-        }
-        // Find the lagging unparked core.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        for c in 0..ncores {
-            if laps[c] < LAP_CAP && cycles[c] < best {
-                best = cycles[c];
-                core = c;
-            }
-        }
-        if core == usize::MAX {
-            break; // everyone parked (cannot happen before done == ncores)
-        }
-        let trace = &workload.traces[core];
-        let rec = trace.records[cursor[core]];
-        // The policy-independent global stream position (round-robin by
-        // record index), shared with the MIN oracle's future knowledge.
-        let seq = if completed[core] {
-            restart_seq += 1;
-            restart_seq
-        } else {
-            (cursor[core] * ncores + core) as u64
-        };
-        cursor[core] += 1;
-        let finishing = cursor[core] == trace.records.len();
-        if finishing {
-            cursor[core] = 0;
-        }
-
-        let a = Access {
-            core: ziv_common::CoreId::new(core),
-            addr: rec.addr,
-            pc: rec.pc,
-            is_write: rec.is_write,
-            is_instr: false,
-        };
-        let now = cycles[core] as u64;
-        let t0 = profiling.then(std::time::Instant::now);
-        let lat = h.access(&a, now, seq);
-        if let Some(t0) = t0 {
-            h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
-        }
-        let exposed = lat as f64 * (1.0 - trace.overlap);
-        cycles[core] += (1 + rec.gap as u64) as f64 * base_cpi + exposed;
-        instructions[core] += 1 + rec.gap as u64;
-
-        let access_index = issued;
-        issued += 1;
-        if h.is_hung() {
-            // An injected hang wedged the model mid-access: no further
-            // progress is possible. Park on wall-clock time (the real
-            // hang signature) until the supervisor cancels us; without
-            // a supervisor, fail immediately instead of wedging the
-            // caller forever.
-            let reason = match cancel {
-                Some(tok) => loop {
-                    if let Some(reason) = tok.fired(issued) {
-                        break reason;
-                    }
-                    tok.note_progress(issued);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                },
-                None => "model hung (hang-core fault) with no supervisor attached".into(),
-            };
-            failure = Some(SimError::Timeout {
-                reason,
-                access_index,
-            });
-            break 'sim;
-        }
-        if auditor.due() {
-            let t0 = profiling.then(std::time::Instant::now);
-            let verdict = Auditor::check(&h, access_index);
-            if let Some(t0) = t0 {
-                h.profile_add(ProfileSection::Audit, t0.elapsed());
-            }
-            if let Err(v) = verdict {
-                h.record_audit_violation(&v, now);
-                failure = Some(SimError::Audit(v));
-                break 'sim;
-            }
-        }
-        if let Some(budget) = budget_cycles {
-            let c = cycles[core] as u64;
-            if c > budget {
-                failure = Some(SimError::BudgetExceeded {
-                    budget_cycles: budget,
-                    core,
-                    cycles: c,
-                    access_index,
-                });
-                break 'sim;
-            }
-        }
-        if let Some(sl) = slicer.as_mut() {
-            if sl.due(issued) {
-                publish_core_clocks(&mut h, &instructions, &cycles);
-                sl.slice(issued, h.metrics());
-            }
-        }
-        if finishing {
-            laps[core] += 1;
-            if !completed[core] {
-                completed[core] = true;
-                done += 1;
-            }
-            // Snapshot at every completed lap: the reported IPC then
-            // covers (nearly) the whole co-run window, so repeated
-            // inclusion-victim damage to fast cores is measured.
-            snapshots[core] = Some((
-                instructions[core],
-                cycles[core] as u64,
-                h.metrics().per_core[core],
-            ));
-        }
+        Ok(())
+    })();
+    if let Err(err) = outcome {
+        return e.fail(err);
     }
 
-    if let Some(err) = failure {
-        // Close the epoch series at the failure point so partial
-        // samples still telescope to the metrics-at-failure.
-        if let Some(sl) = slicer.as_mut() {
-            publish_core_clocks(&mut h, &instructions, &cycles);
-            sl.finish(issued, h.metrics());
-        }
-        let window = cycles.iter().copied().fold(0f64, f64::max) as u64;
-        let obs = collect_observations(&mut h, slicer, observing, window);
-        return (Err(err), obs);
-    }
-
-    for c in 0..ncores {
-        if snapshots[c].is_none() {
-            // Issue cap reached before this core finished: snapshot its
-            // progress so far.
-            snapshots[c] = Some((instructions[c], cycles[c] as u64, h.metrics().per_core[c]));
-        }
-        let (instr, cyc, mut per_core) = snapshots[c].expect("every core snapshotted");
+    // Rewind each core to its last lap snapshot; a core the issue cap
+    // stopped mid-trace reports its progress so far. The epoch series'
+    // closing sample follows this rewind, so its per-core deltas may
+    // be negative.
+    for (c, snapshot) in snapshots.into_iter().enumerate() {
+        let (instr, cyc, mut per_core) = snapshot.unwrap_or_else(|| {
+            (
+                e.instructions[c],
+                e.cycles[c] as u64,
+                e.h.metrics().per_core[c],
+            )
+        });
         per_core.instructions = instr;
         per_core.cycles = cyc;
-        h.metrics_mut().per_core[c] = per_core;
-        instructions[c] = instr;
-        cycles[c] = cyc as f64;
+        e.h.metrics_mut().per_core[c] = per_core;
+        e.instructions[c] = instr;
+        e.cycles[c] = cyc as f64;
     }
-    h.finalize();
-    debug_assert!(h.verify_invariants().is_ok(), "{:?}", h.verify_invariants());
-    // The closing sample is taken *after* the per-core lap rewind and
-    // finalize() above, so the epoch deltas sum exactly to the final
-    // aggregate metrics (its per-core deltas may be negative).
-    if let Some(sl) = slicer.as_mut() {
-        sl.finish(issued, h.metrics());
-    }
-    let window = cycles.iter().copied().fold(0f64, f64::max) as u64;
-    let observations = collect_observations(&mut h, slicer, observing, window);
-
-    let result = RunResult {
-        label: spec.label.clone(),
-        workload: workload.name.clone(),
-        cores: (0..ncores)
-            .map(|c| CoreRunStats {
-                instructions: instructions[c],
-                cycles: cycles[c] as u64,
-                app_name: workload.traces[c].app_name,
-            })
-            .collect(),
-        metrics: h.metrics().clone(),
-    };
+    let (result, observations) = e.finish(spec);
     (Ok(result), observations)
 }
 

@@ -56,25 +56,22 @@
 //! `CPI ≈ (C_head + CPI_steady × I_steady) / I_total` — with only the
 //! steady stratum contributing to the confidence width.
 //!
-//! [`run_paired_sampled`] implements the auto-stop rule: the baseline
+//! [`run_paired_sampled_instrumented`] implements the auto-stop rule: the baseline
 //! runs first, then the target stops as soon as the paired per-interval
 //! IPC delta's confidence interval excludes zero (or its interval
 //! budget is exhausted).
 
-use crate::driver::{
-    collect_observations, probe_snapshot, publish_core_clocks, RunOptions, RunResult,
-};
+use crate::driver::{publish_core_clocks, Engine, RunOptions, RunResult};
 use crate::spec::RunSpec;
 use ziv_common::stats::{Confidence, ConfidenceInterval, RunningMoments};
 use ziv_common::SimError;
-use ziv_core::observe::{EpochSlicer, FlightRecorder, SamplingProgress, TelemetryProbe};
-use ziv_core::profile::{ProfileSection, SelfProfiler};
-use ziv_core::{Access, Auditor, CacheHierarchy, CancelToken};
+use ziv_core::observe::{ObserveConfig, SamplingProgress, TelemetryProbe};
+use ziv_core::CancelToken;
 use ziv_workloads::Workload;
 
 /// How to sample a run: the period structure and the statistical
-/// targets. All-integer and `Copy`/`Eq` so it can ride inside
-/// [`RunOptions`] without disturbing its derives.
+/// targets. Passed to the sampled entry points beside their
+/// [`RunOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Timed accesses per interval (global stream count). `0` means
@@ -603,7 +600,7 @@ impl SampledRun {
 }
 
 /// The paired ZIV-vs-baseline auto-stop verdict from
-/// [`run_paired_sampled`].
+/// [`run_paired_sampled_instrumented`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairedSampleReport {
     /// The baseline's sampled run (always runs to its own stop rule).
@@ -652,24 +649,17 @@ fn stratum_code(in_head: bool, phase: Phase) -> u64 {
     }
 }
 
-/// Resolves `opts.sampling` against the workload: auto plans are sized
-/// from the stream length and de-aliased against the workload's phase
+/// Resolves `plan` against the workload: auto plans are sized from
+/// the stream length and de-aliased against the workload's phase
 /// period, derived from `spec`'s cache capacities (the same scale the
 /// campaign generators build footprints from).
-fn resolve_plan(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> Result<SamplingPlan, SimError> {
-    let plan = opts
-        .sampling
-        .ok_or_else(|| SimError::Config("run_one_sampled needs opts.sampling".into()))?;
+fn resolve_plan(spec: &RunSpec, workload: &Workload, plan: SamplingPlan) -> SamplingPlan {
     let scale = ziv_workloads::ScaleParams::from_system(&spec.system);
-    Ok(plan.resolve_for_stream(
+    plan.resolve_for_stream(
         workload.total_accesses(),
         workload.phase_period(scale),
         scale.llc_lines,
-    ))
+    )
 }
 
 /// Snapshot of the estimator inputs at an interval boundary.
@@ -683,11 +673,10 @@ struct IntervalOpen {
     inclusion_victims: u64,
 }
 
-/// Simulates `workload` under `spec` with the sampling plan in
-/// `opts.sampling`, on the current thread. See the module docs for the
-/// period structure. `opts.audit` and `opts.observe` apply to timed
-/// accesses only — fast-forwarded spans are audit- and
-/// observability-silent by construction.
+/// Simulates `workload` under `spec` sampled by `plan`, on the current
+/// thread. See the module docs for the period structure. `opts.audit`
+/// and `opts.budget` apply to timed accesses only; `opts.observe` is
+/// ignored — sampled runs do not observe.
 ///
 /// Unlike the full driver, a sampled run is single-pass: cores park
 /// after their first trace completion instead of restarting (restart
@@ -697,10 +686,9 @@ struct IntervalOpen {
 ///
 /// # Errors
 ///
-/// - [`SimError::Config`] when `opts.sampling` is `None`.
-/// - [`SimError::Audit`] / [`SimError::BudgetExceeded`] /
-///   [`SimError::Timeout`] exactly as in the full driver, from timed
-///   accesses.
+/// [`SimError::Audit`] / [`SimError::BudgetExceeded`] /
+/// [`SimError::Timeout`] exactly as in the full driver, from timed
+/// accesses.
 ///
 /// # Panics
 ///
@@ -709,40 +697,22 @@ pub fn run_one_sampled(
     spec: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
 ) -> Result<SampledRun, SimError> {
-    run_one_sampled_supervised(spec, workload, opts, None, |_| false)
+    run_one_sampled_instrumented(spec, workload, opts, plan, None, None, |_| false)
 }
 
-/// [`run_one_sampled`] under an optional cooperative [`CancelToken`]
-/// and a per-interval stop rule: `on_interval` sees each completed
+/// [`run_one_sampled`] under an optional cooperative [`CancelToken`],
+/// an optional live-telemetry probe, and a per-interval stop rule.
+///
+/// The token and probe follow the
+/// [`run_one_instrumented`](crate::run_one_instrumented) contract;
+/// progress samples carry the current sampling stratum
+/// (head/skip/warm/timed), and each closed interval publishes the
+/// running per-interval IPC mean and confidence half-width so watchers
+/// can see CI convergence live. `on_interval` sees each completed
 /// interval and returns `true` to stop the run
 /// ([`StopReason::DeltaResolved`]).
-///
-/// # Errors
-///
-/// As [`run_one_sampled`].
-///
-/// # Panics
-///
-/// Panics if the workload's core count exceeds the system's.
-pub fn run_one_sampled_supervised(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-    cancel: Option<&CancelToken>,
-    on_interval: impl FnMut(&IntervalEstimate) -> bool,
-) -> Result<SampledRun, SimError> {
-    run_one_sampled_instrumented(spec, workload, opts, cancel, None, on_interval)
-}
-
-/// [`run_one_sampled_supervised`] plus an optional live-telemetry
-/// probe (the same contract as
-/// [`run_one_instrumented`](crate::run_one_instrumented)): every 256
-/// accesses the loop publishes a progress sample carrying the current
-/// sampling stratum (head/skip/warm/timed), and each closed interval
-/// publishes the running per-interval IPC mean and confidence
-/// half-width so watchers can see CI convergence live. With `probe ==
-/// None` every publish site is a single never-taken branch.
 ///
 /// # Errors
 ///
@@ -755,44 +725,21 @@ pub fn run_one_sampled_instrumented(
     spec: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
     cancel: Option<&CancelToken>,
     probe: Option<&dyn TelemetryProbe>,
     mut on_interval: impl FnMut(&IntervalEstimate) -> bool,
 ) -> Result<SampledRun, SimError> {
-    let plan = resolve_plan(spec, workload, opts)?;
+    let plan = resolve_plan(spec, workload, plan);
     let period = plan.period();
-    let hier_cfg = spec.build_hierarchy_config(workload);
-    let mut h = CacheHierarchy::new(&hier_cfg);
+    let opts = RunOptions {
+        observe: ObserveConfig::disabled(),
+        ..*opts
+    };
+    let mut e = Engine::new(spec, workload, &opts, cancel, probe);
     let ncores = workload.cores();
-    assert!(
-        ncores <= spec.system.cores,
-        "workload has {ncores} cores but the system has {}",
-        spec.system.cores
-    );
-    let base_cpi = spec.system.base_cpi;
-
-    let mut cursor = vec![0usize; ncores];
-    let mut cycles = vec![0f64; ncores];
-    let mut instructions = vec![0u64; ncores];
     let mut completed = vec![false; ncores];
     let mut done = 0usize;
-    let mut issued = 0u64;
-    let mut auditor = Auditor::new(opts.audit);
-    let budget_cycles = opts.budget.map(|b| b.cycles_for(workload));
-    let observing = opts.observe.is_enabled();
-    if let Some(rec) = FlightRecorder::new(
-        &opts.observe,
-        ncores,
-        spec.system.llc.banks,
-        spec.system.llc.bank_geometry.sets as usize,
-    ) {
-        h.attach_recorder(rec);
-    }
-    let profiling = opts.observe.profile;
-    if profiling {
-        h.attach_profiler(Box::new(SelfProfiler::new()));
-    }
-    let mut slicer = opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores));
 
     let mut intervals: Vec<IntervalEstimate> = Vec::new();
     // Running per-interval IPC moments, published to the probe at each
@@ -804,317 +751,178 @@ pub fn run_one_sampled_instrumented(
     let mut timed_accesses = 0u64;
     let mut warm_accesses = 0u64;
     let mut skipped_accesses = 0u64;
-    let mut stop = StopReason::TraceEnd;
-    let mut failure: Option<SimError> = None;
-    let window_now = |cycles: &[f64]| cycles.iter().copied().fold(0f64, f64::max) as u64;
 
-    'sim: while done < ncores {
-        if let Some(tok) = cancel {
-            if let Some(reason) = tok.fired(issued) {
-                failure = Some(SimError::Timeout {
-                    reason,
-                    access_index: issued,
-                });
-                break 'sim;
-            }
-            if issued & 0xFF == 0 {
-                tok.note_progress(issued);
-            }
-        }
-        // The head census is timed verbatim; the periodic structure
-        // begins after it.
-        let in_head = issued < plan.head;
-        let pos = if in_head {
-            0
-        } else {
-            (issued - plan.head) % period
-        };
-        let phase = if in_head {
-            Phase::Timed
-        } else {
-            phase_of(pos, &plan)
-        };
-        if let Some(p) = probe {
-            if issued & 0xFF == 0 {
-                p.publish_progress(&probe_snapshot(
-                    &h,
-                    &instructions,
-                    &cycles,
-                    issued,
-                    stratum_code(in_head, phase),
-                ));
-            }
-        }
-
-        if phase == Phase::Skip {
-            // Bulk fast-forward: skipped accesses never touch the
-            // hierarchy, so the per-access lagging-core interleave is
-            // unobservable — charge each core its records' base-CPI
-            // work in one pass over the trace slices instead of paying
-            // the core-selection scan per access. The absolute clock
-            // skew this introduces cancels out of every interval
-            // estimate (they are deltas).
-            let mut left = (plan.gap - plan.warm_len()) - pos;
-            while left > 0 && done < ncores {
-                let active = ncores - done;
-                let share = (left / active as u64).max(1);
-                for c in 0..ncores {
-                    if completed[c] || left == 0 {
-                        continue;
-                    }
-                    let trace = &workload.traces[c];
-                    let avail = (trace.records.len() - cursor[c]) as u64;
-                    let take = share.min(avail).min(left) as usize;
-                    let mut instr = 0u64;
-                    for r in &trace.records[cursor[c]..cursor[c] + take] {
-                        instr += 1 + r.gap as u64;
-                    }
-                    cursor[c] += take;
-                    instructions[c] += instr;
-                    cycles[c] += instr as f64 * base_cpi;
-                    issued += take as u64;
-                    skipped_accesses += take as u64;
-                    left -= take as u64;
-                    if cursor[c] == trace.records.len() {
-                        completed[c] = true;
-                        done += 1;
-                    }
-                }
-            }
-            if let Some(tok) = cancel {
-                tok.note_progress(issued);
-            }
-            continue 'sim;
-        }
-
-        // Phase transitions happen on the global stream, so the scope
-        // handling below is strictly sequential: open the warmup scope at
-        // the first warm access of a period, close it at the period
-        // boundary, and open the interval estimator on the first timed
-        // access.
-        if phase == Phase::Timed && open.is_none() {
-            if h.is_warming() {
-                h.end_warmup();
-            }
-            let m = h.metrics();
-            open = Some(IntervalOpen {
-                start_access: issued,
-                instructions: instructions.iter().sum(),
-                window: window_now(&cycles),
-                llc_accesses: m.llc_accesses,
-                llc_misses: m.llc_misses,
-                inclusion_victims: m.inclusion_victims,
-            });
-        }
-        if phase == Phase::Warm && !h.is_warming() {
-            h.begin_warmup();
-        }
-
-        // Lagging unparked core, as in the full driver.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        for c in 0..ncores {
-            if !completed[c] && cycles[c] < best {
-                best = cycles[c];
-                core = c;
-            }
-        }
-        if core == usize::MAX {
-            break;
-        }
-        let trace = &workload.traces[core];
-        let rec = trace.records[cursor[core]];
-        let seq = (cursor[core] * ncores + core) as u64;
-        cursor[core] += 1;
-        let finishing = cursor[core] == trace.records.len();
-
-        match phase {
-            Phase::Skip => unreachable!("skip spans fast-forward in bulk above"),
-            Phase::Warm | Phase::Timed => {
-                let a = Access {
-                    core: ziv_common::CoreId::new(core),
-                    addr: rec.addr,
-                    pc: rec.pc,
-                    is_write: rec.is_write,
-                    is_instr: false,
-                };
-                let now = cycles[core] as u64;
-                let t0 = (profiling && phase == Phase::Timed).then(std::time::Instant::now);
-                let lat = h.access(&a, now, seq);
-                if let Some(t0) = t0 {
-                    h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
-                }
-                let exposed = lat as f64 * (1.0 - trace.overlap);
-                cycles[core] += (1 + rec.gap as u64) as f64 * base_cpi + exposed;
-                instructions[core] += 1 + rec.gap as u64;
-                if phase == Phase::Warm {
-                    warm_accesses += 1;
-                } else {
-                    timed_accesses += 1;
-                }
-                if h.is_hung() {
-                    let reason = match cancel {
-                        Some(tok) => loop {
-                            if let Some(reason) = tok.fired(issued) {
-                                break reason;
-                            }
-                            tok.note_progress(issued);
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        },
-                        None => "model hung (hang-core fault) with no supervisor attached".into(),
-                    };
-                    failure = Some(SimError::Timeout {
-                        reason,
-                        access_index: issued,
-                    });
-                    break 'sim;
-                }
-                if phase == Phase::Timed {
-                    if auditor.due() {
-                        let t0 = profiling.then(std::time::Instant::now);
-                        let verdict = Auditor::check(&h, issued);
-                        if let Some(t0) = t0 {
-                            h.profile_add(ProfileSection::Audit, t0.elapsed());
-                        }
-                        if let Err(v) = verdict {
-                            h.record_audit_violation(&v, now);
-                            failure = Some(SimError::Audit(v));
-                            break 'sim;
-                        }
-                    }
-                    if let Some(budget) = budget_cycles {
-                        let c = cycles[core] as u64;
-                        if c > budget {
-                            failure = Some(SimError::BudgetExceeded {
-                                budget_cycles: budget,
-                                core,
-                                cycles: c,
-                                access_index: issued,
-                            });
-                            break 'sim;
-                        }
-                    }
-                    if let Some(sl) = slicer.as_mut() {
-                        if sl.due(timed_accesses) {
-                            publish_core_clocks(&mut h, &instructions, &cycles);
-                            sl.slice(timed_accesses, h.metrics());
-                        }
-                    }
-                }
-            }
-        }
-
-        issued += 1;
-        if finishing {
-            completed[core] = true;
-            done += 1;
-        }
-
-        // Close the interval when it completes — the access just issued
-        // was its `interval`-th — or when the trace ran out mid-interval
-        // (partial intervals are discarded: a short window would get
-        // full weight in the mean; a partial *head* interval is kept,
-        // because census intervals are summed at their true instruction
-        // weight, never averaged). Timed positions sit at the end of
-        // the period, so `pos + 1 - gap` is the count of timed accesses
-        // issued this period; `issued` was just incremented, so inside
-        // the head it is the count of census accesses issued.
-        let interval_done = phase == Phase::Timed
-            && if in_head {
-                issued.is_multiple_of(plan.interval) || issued == plan.head
+    let outcome = (|| -> Result<StopReason, SimError> {
+        while done < ncores {
+            // The head census is timed verbatim; the periodic structure
+            // begins after it.
+            let in_head = e.issued < plan.head;
+            let pos = if in_head {
+                0
             } else {
-                (pos + 1 - plan.gap) % plan.interval == 0
+                (e.issued - plan.head) % period
             };
-        let closing = open.is_some() && phase == Phase::Timed && (interval_done || done == ncores);
-        if closing {
-            let full_window = interval_done;
+            let phase = if in_head {
+                Phase::Timed
+            } else {
+                phase_of(pos, &plan)
+            };
+            e.poll(stratum_code(in_head, phase))?;
+
+            if phase == Phase::Skip {
+                // Bulk fast-forward: skipped accesses never touch the
+                // hierarchy, so the per-access lagging-core interleave is
+                // unobservable — charge each core its records' base-CPI
+                // work in one pass over the trace slices instead of
+                // paying the core-selection scan per access. The absolute
+                // clock skew this introduces cancels out of every
+                // interval estimate (they are deltas).
+                let mut left = (plan.gap - plan.warm_len()) - pos;
+                while left > 0 && done < ncores {
+                    let active = ncores - done;
+                    let share = (left / active as u64).max(1);
+                    for c in 0..ncores {
+                        if completed[c] || left == 0 {
+                            continue;
+                        }
+                        let records = &workload.traces[c].records;
+                        let avail = (records.len() - e.cursor[c]) as u64;
+                        let take = share.min(avail).min(left) as usize;
+                        let mut instr = 0u64;
+                        for r in &records[e.cursor[c]..e.cursor[c] + take] {
+                            instr += 1 + r.gap as u64;
+                        }
+                        e.cursor[c] += take;
+                        e.instructions[c] += instr;
+                        e.cycles[c] += instr as f64 * e.base_cpi;
+                        e.issued += take as u64;
+                        skipped_accesses += take as u64;
+                        left -= take as u64;
+                        if e.cursor[c] == records.len() {
+                            completed[c] = true;
+                            done += 1;
+                        }
+                    }
+                }
+                e.note_progress();
+                continue;
+            }
+
+            // Phase transitions happen on the global stream, so the
+            // scope handling below is strictly sequential: open the
+            // warmup scope at the first warm access of a period, close
+            // it at the period boundary, and open the interval estimator
+            // on the first timed access.
+            if phase == Phase::Timed && open.is_none() {
+                if e.h.is_warming() {
+                    e.h.end_warmup();
+                }
+                let m = e.h.metrics();
+                open = Some(IntervalOpen {
+                    start_access: e.issued,
+                    instructions: e.instructions.iter().sum(),
+                    window: e.window(),
+                    llc_accesses: m.llc_accesses,
+                    llc_misses: m.llc_misses,
+                    inclusion_victims: m.inclusion_victims,
+                });
+            }
+            if phase == Phase::Warm && !e.h.is_warming() {
+                e.h.begin_warmup();
+            }
+
+            // Lagging unparked core, as in the full driver.
+            let Some(core) = e.lagging_core(|c| !completed[c]) else {
+                break;
+            };
+            let seq = (e.cursor[core] * ncores + core) as u64;
+            let timed = phase == Phase::Timed;
+            if timed {
+                timed_accesses += 1;
+            } else {
+                warm_accesses += 1;
+            }
+            if e.issue(core, seq, timed)? {
+                completed[core] = true;
+                done += 1;
+            }
+
+            // Close the interval when it completes — the access just
+            // issued was its `interval`-th — or when the trace ran out
+            // mid-interval (partial intervals are discarded: a short
+            // window would get full weight in the mean; a partial *head*
+            // interval is kept, because census intervals are summed at
+            // their true instruction weight, never averaged). Timed
+            // positions sit at the end of the period, so
+            // `pos + 1 - gap` is the count of timed accesses issued this
+            // period; inside the head, `issued` is the count of census
+            // accesses issued.
+            if !timed || open.is_none() {
+                continue;
+            }
+            let interval_done = if in_head {
+                e.issued.is_multiple_of(plan.interval) || e.issued == plan.head
+            } else {
+                (pos + 1 - plan.gap).is_multiple_of(plan.interval)
+            };
+            if !interval_done && done < ncores {
+                continue;
+            }
             let o = open.take().expect("interval is open");
-            if full_window {
-                let m = h.metrics();
-                let instr: u64 = instructions.iter().sum::<u64>() - o.instructions;
-                let window = window_now(&cycles).saturating_sub(o.window);
-                let llc_acc = m.llc_accesses - o.llc_accesses;
-                let llc_miss = m.llc_misses - o.llc_misses;
-                let iv = IntervalEstimate {
-                    index: intervals.len() as u32,
-                    start_access: o.start_access,
-                    accesses: issued - o.start_access,
-                    instructions: instr,
-                    cycles: window,
-                    ipc: if window == 0 {
-                        0.0
-                    } else {
-                        instr as f64 / window as f64
-                    },
-                    llc_miss_rate: if llc_acc == 0 {
-                        0.0
-                    } else {
-                        llc_miss as f64 / llc_acc as f64
-                    },
-                    inclusion_victims: m.inclusion_victims - o.inclusion_victims,
-                };
-                intervals.push(iv);
-                if let Some(p) = probe {
-                    live_ipc.push(iv.ipc);
-                    let half = live_ipc
-                        .confidence_interval(plan.confidence)
-                        .map_or(0.0, |ci| (ci.high() - ci.low()) / 2.0);
-                    p.publish_sampling(&SamplingProgress {
-                        intervals: intervals.len() as u64,
-                        ipc_mean: live_ipc.mean().unwrap_or(0.0),
-                        ipc_half_width: half,
-                    });
-                }
-                if plan.max_intervals > 0 && intervals.len() as u32 >= plan.max_intervals {
-                    stop = StopReason::MaxIntervals;
-                    break 'sim;
-                }
-                if on_interval(&iv) {
-                    stop = StopReason::DeltaResolved;
-                    break 'sim;
-                }
+            if !interval_done {
+                continue;
+            }
+            let m = e.h.metrics();
+            let instr: u64 = e.instructions.iter().sum::<u64>() - o.instructions;
+            let window = e.window().saturating_sub(o.window);
+            let llc_acc = m.llc_accesses - o.llc_accesses;
+            let llc_miss = m.llc_misses - o.llc_misses;
+            let iv = IntervalEstimate {
+                index: intervals.len() as u32,
+                start_access: o.start_access,
+                accesses: e.issued - o.start_access,
+                instructions: instr,
+                cycles: window,
+                ipc: if window == 0 {
+                    0.0
+                } else {
+                    instr as f64 / window as f64
+                },
+                llc_miss_rate: if llc_acc == 0 {
+                    0.0
+                } else {
+                    llc_miss as f64 / llc_acc as f64
+                },
+                inclusion_victims: m.inclusion_victims - o.inclusion_victims,
+            };
+            intervals.push(iv);
+            if let Some(p) = probe {
+                live_ipc.push(iv.ipc);
+                let half = live_ipc
+                    .confidence_interval(plan.confidence)
+                    .map_or(0.0, |ci| (ci.high() - ci.low()) / 2.0);
+                p.publish_sampling(&SamplingProgress {
+                    intervals: intervals.len() as u64,
+                    ipc_mean: live_ipc.mean().unwrap_or(0.0),
+                    ipc_half_width: half,
+                });
+            }
+            if plan.max_intervals > 0 && intervals.len() as u32 >= plan.max_intervals {
+                return Ok(StopReason::MaxIntervals);
+            }
+            if on_interval(&iv) {
+                return Ok(StopReason::DeltaResolved);
             }
         }
-    }
+        Ok(StopReason::TraceEnd)
+    })();
 
-    if h.is_warming() {
-        h.end_warmup();
+    if e.h.is_warming() {
+        e.h.end_warmup();
     }
-    if let Some(err) = failure {
-        if let Some(sl) = slicer.as_mut() {
-            publish_core_clocks(&mut h, &instructions, &cycles);
-            sl.finish(timed_accesses, h.metrics());
-        }
-        let window = window_now(&cycles);
-        let _ = collect_observations(&mut h, slicer, observing, window);
-        return Err(err);
-    }
-
-    publish_core_clocks(&mut h, &instructions, &cycles);
-    h.finalize();
-    debug_assert!(h.verify_invariants().is_ok(), "{:?}", h.verify_invariants());
-    if let Some(sl) = slicer.as_mut() {
-        sl.finish(timed_accesses, h.metrics());
-    }
-    let window = window_now(&cycles);
-    let observations = collect_observations(&mut h, slicer, observing, window);
-    // Sampled runs keep their observations out of the public result for
-    // now (nothing consumes a partial-coverage flight recording); the
-    // drain above still detaches the recorder cleanly.
-    drop(observations);
-
-    let result = RunResult {
-        label: spec.label.clone(),
-        workload: workload.name.clone(),
-        cores: (0..ncores)
-            .map(|c| crate::driver::CoreRunStats {
-                instructions: instructions[c],
-                cycles: cycles[c] as u64,
-                app_name: workload.traces[c].app_name,
-            })
-            .collect(),
-        metrics: h.metrics().clone(),
-    };
+    let stop = outcome?;
+    publish_core_clocks(&mut e.h, &e.instructions, &e.cycles);
+    let (result, _) = e.finish(spec);
     let profile = SamplingProfile {
         plan,
         timed_accesses,
@@ -1141,32 +949,14 @@ pub fn run_one_sampled_instrumented(
 /// series requires an identical period structure even when the two
 /// specs' cache scales would de-alias differently.
 ///
+/// With a `probe`, the probe sees `cell_begin`/`cell_end` around each
+/// of the two runs (spec index 0 = baseline, 1 = target) and live
+/// stratum/CI progress from inside them, so `zivsim watch` can follow
+/// a paired sampling session like a two-cell campaign.
+///
 /// # Errors
 ///
 /// As [`run_one_sampled`], for either run.
-///
-/// # Panics
-///
-/// Panics if the workload's core count exceeds either spec's system
-/// core count.
-pub fn run_paired_sampled(
-    baseline: &RunSpec,
-    target: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> Result<PairedSampleReport, SimError> {
-    run_paired_sampled_instrumented(baseline, target, workload, opts, None)
-}
-
-/// [`run_paired_sampled`] plus an optional live-telemetry probe: the
-/// probe sees `cell_begin`/`cell_end` around each of the two runs
-/// (spec index 0 = baseline, 1 = target) and live stratum/CI progress
-/// from inside them, so `zivsim watch` can follow a paired sampling
-/// session like a two-cell campaign.
-///
-/// # Errors
-///
-/// As [`run_paired_sampled`].
 ///
 /// # Panics
 ///
@@ -1177,16 +967,16 @@ pub fn run_paired_sampled_instrumented(
     target: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
     probe: Option<&dyn TelemetryProbe>,
 ) -> Result<PairedSampleReport, SimError> {
-    let mut opts = *opts;
-    opts.sampling = Some(resolve_plan(baseline, workload, &opts)?);
-    let opts = &opts;
+    let plan = resolve_plan(baseline, workload, plan);
     let expected = workload.total_accesses();
     if let Some(p) = probe {
         p.cell_begin(0, 0, 1, expected, &baseline.label, &workload.name);
     }
-    let base = run_one_sampled_instrumented(baseline, workload, opts, None, probe, |_| false)?;
+    let base =
+        run_one_sampled_instrumented(baseline, workload, opts, plan, None, probe, |_| false)?;
     let confidence = base.profile.plan.confidence;
     let base_ipcs: Vec<f64> = base.intervals.iter().map(|iv| iv.ipc).collect();
     let mut deltas = RunningMoments::new();
@@ -1194,7 +984,7 @@ pub fn run_paired_sampled_instrumented(
         p.cell_end();
         p.cell_begin(1, 0, 1, expected, &target.label, &workload.name);
     }
-    let tgt = run_one_sampled_instrumented(target, workload, opts, None, probe, |iv| {
+    let tgt = run_one_sampled_instrumented(target, workload, opts, plan, None, probe, |iv| {
         let Some(&b) = base_ipcs.get(iv.index as usize) else {
             return false;
         };
@@ -1234,11 +1024,8 @@ mod tests {
         )
     }
 
-    fn sampled_opts(plan: SamplingPlan) -> RunOptions {
-        RunOptions {
-            sampling: Some(plan),
-            ..RunOptions::default()
-        }
+    fn sampled(spec: &RunSpec, workload: &Workload, plan: SamplingPlan) -> SampledRun {
+        run_one_sampled(spec, workload, &RunOptions::default(), plan).unwrap()
     }
 
     #[test]
@@ -1384,12 +1171,7 @@ mod tests {
         // 48k global accesses → auto period 6000, an exact phase
         // multiple: the plain resolver aliases, the run must not.
         assert_eq!(SamplingPlan::auto().resolve_for(48_000).period() % phase, 0);
-        let run = run_one_sampled(
-            &RunSpec::new("I-LRU", sys),
-            &workload,
-            &sampled_opts(SamplingPlan::auto()),
-        )
-        .unwrap();
+        let run = sampled(&RunSpec::new("I-LRU", sys), &workload, SamplingPlan::auto());
         assert_ne!(run.profile.plan.period() % phase, 0);
         assert!(run.intervals.len() >= 2);
     }
@@ -1403,7 +1185,7 @@ mod tests {
             gap: 448,
             ..SamplingPlan::auto()
         };
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(plan)).unwrap();
+        let run = sampled(&spec, &workload, plan);
         let p = &run.profile;
         assert_eq!(
             p.timed_accesses + p.warm_accesses + p.skipped_accesses,
@@ -1432,7 +1214,7 @@ mod tests {
         // access instead of freezing state across skips.
         let workload = wl(2, 3_000);
         let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(SamplingPlan::auto())).unwrap();
+        let run = sampled(&spec, &workload, SamplingPlan::auto());
         let p = &run.profile;
         assert_eq!(p.skipped_accesses, 0, "out-of-regime plans never skip");
         assert_eq!(
@@ -1448,9 +1230,8 @@ mod tests {
         let workload = wl(2, 2_000);
         let spec = RunSpec::new("ZIV", SystemConfig::scaled())
             .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
-        let opts = sampled_opts(SamplingPlan::auto());
-        let a = run_one_sampled(&spec, &workload, &opts).unwrap();
-        let b = run_one_sampled(&spec, &workload, &opts).unwrap();
+        let a = sampled(&spec, &workload, SamplingPlan::auto());
+        let b = sampled(&spec, &workload, SamplingPlan::auto());
         assert_eq!(a, b);
     }
 
@@ -1462,17 +1243,9 @@ mod tests {
             max_intervals: 2,
             ..SamplingPlan::auto()
         };
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(plan)).unwrap();
+        let run = sampled(&spec, &workload, plan);
         assert_eq!(run.intervals.len(), 2);
         assert_eq!(run.profile.stop, StopReason::MaxIntervals);
-    }
-
-    #[test]
-    fn sampling_none_is_a_config_error() {
-        let workload = wl(2, 500);
-        let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
-        let err = run_one_sampled(&spec, &workload, &RunOptions::default()).unwrap_err();
-        assert_eq!(err.kind_tag(), "config");
     }
 
     #[test]
@@ -1481,8 +1254,15 @@ mod tests {
         let sys = SystemConfig::scaled();
         let base = RunSpec::new("I-LRU", sys.clone());
         let ziv = RunSpec::new("ZIV", sys).with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
-        let rep = run_paired_sampled(&base, &ziv, &workload, &sampled_opts(SamplingPlan::auto()))
-            .unwrap();
+        let rep = run_paired_sampled_instrumented(
+            &base,
+            &ziv,
+            &workload,
+            &RunOptions::default(),
+            SamplingPlan::auto(),
+            None,
+        )
+        .unwrap();
         assert!(!rep.baseline.intervals.is_empty());
         assert!(!rep.target.intervals.is_empty());
         assert!(

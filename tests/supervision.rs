@@ -204,6 +204,7 @@ fn oversubscribed_but_progressing_pool_is_not_cancelled() {
         &RunOptions::default(),
         &sup,
         &NoopSuperviseObserver,
+        None,
     );
     assert_eq!(runs.len(), workers);
     for run in &runs {
