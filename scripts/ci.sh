@@ -270,6 +270,23 @@ test "$SOAK_EXIT" -eq 3
 grep -q "every guarantee held" "$SOAK_DIR/soak.out"
 grep -q "torn tail detected = true" "$SOAK_DIR/soak.out"
 
+echo "== perfbench output gate (simulated results vs the committed reference)"
+# The repository benchmark checks every cell it simulates against
+# perfbench/reference.json (per-cell digests of core clocks + metrics),
+# so a short run of each workload proves full-run results are
+# byte-identical to the reference. Only the result line's correctness
+# fields gate here; its timings are machine-dependent.
+(cd perfbench && cargo test --release --offline -q)
+for workload in llc-bound private-bound sweep; do
+    line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 | tail -n 1)"
+    echo "$workload: ${line:0:60}..."
+    case "$line" in
+        *'"correct":true'*'"failed":0'*) ;;
+        *) echo "perfbench $workload: simulated output does not match the reference"; exit 1 ;;
+    esac
+done
+
 echo "== hot-path throughput baseline (recorded, non-gating)"
 # End-to-end accesses/second over the smoke campaign through the plain
 # driver (no audit, no cache). Fresh runs land in a scratch dir; the
