@@ -1,14 +1,16 @@
 //! Differential determinism checks for the allocation-free access hot
 //! path (DESIGN.md §8): rewriting the sharer-iteration, victim-ranking,
 //! and fused tag-probe paths must leave simulation behavior
-//! bit-for-bit unchanged. Two guards:
+//! bit-for-bit unchanged. Three guards:
 //!
 //! 1. every LLC mode, run twice under the every-access invariant
 //!    auditor, produces identical [`ziv::sim::RunResult`]s (metrics,
 //!    per-core stats, everything `PartialEq` covers);
 //! 2. the smoke campaign, run twice from scratch, writes byte-identical
 //!    ledgers and grid CSVs — the cell digests and serialized metrics
-//!    the resumable runner trusts for caching.
+//!    the resumable runner trusts for caching;
+//! 3. golden digests pin a grid and every mode × policy pair to fixed
+//!    values, so a rewrite cannot drift while staying self-consistent.
 
 use std::fs;
 use std::path::PathBuf;
@@ -148,4 +150,81 @@ fn grid_matches_its_golden_digest_at_every_thread_count() {
             "grid at {threads} thread(s)"
         );
     }
+}
+
+/// [`all_modes`] plus the ZIV properties whose relocation-set search the
+/// paper pairs with LRU, re-run under Hawkeye: the graded property bit
+/// (`LRUNotInPrC` / `MaxRRPVNotInPrC`) and the `LikelyDeadNotInPrC` bit
+/// are each read under a policy other than the one they were designed
+/// for.
+fn every_mode_policy_pair() -> Vec<(LlcMode, PolicyKind)> {
+    use ZivProperty::*;
+    let mut pairs = all_modes();
+    pairs.extend([
+        (LlcMode::Ziv(LruNotInPrC), PolicyKind::Hawkeye),
+        (LlcMode::Ziv(LikelyDead), PolicyKind::Hawkeye),
+        (LlcMode::Ziv(MaxRrpvNotInPrC), PolicyKind::Hawkeye),
+    ]);
+    pairs
+}
+
+/// Golden pin on every mode × policy pair: an 8-core heterogeneous mix
+/// run through `run_one` digests to a fixed value per pair. Rewriting the
+/// property-vector upkeep or the victim-ranking path must leave every
+/// pair byte-identical, including the ZIV properties whose relocation
+/// sets come from the graded bit.
+#[test]
+fn every_mode_matches_its_golden_digest() {
+    let sys = SystemConfig::scaled();
+    let scale = ScaleParams::from_system(&sys);
+    let wl = mixes::heterogeneous(1, 8, 4_000, 0x2026, scale);
+    let mut got = Vec::new();
+    for (mode, policy) in every_mode_policy_pair() {
+        let label = format!("{}-{}", mode.label(), policy.label());
+        let spec = RunSpec::new(label.clone(), sys.clone())
+            .with_mode(mode)
+            .with_policy(policy);
+        let r = run_one(&spec, &wl);
+        if mode.is_ziv() {
+            assert!(
+                r.metrics.relocations > 0,
+                "{label}: the mix must exercise relocation-set selection"
+            );
+        }
+        let mut h = Fnv1a::new();
+        h.write_str(&r.label);
+        h.write_str(&r.workload);
+        for c in &r.cores {
+            h.write_u64(c.instructions);
+            h.write_u64(c.cycles);
+        }
+        h.write_str(&r.metrics.to_json().to_string());
+        got.push((label, h.finish()));
+    }
+    let want: &[(&str, u64)] = &[
+        ("I-LRU", 0x55f829ddfa0a1401),
+        ("NI-LRU", 0xafeab5167550ce14),
+        ("QBS-LRU", 0xb8f9ea9e859fce09),
+        ("SHARP-LRU", 0x25dc9b155e91fc19),
+        ("CHARonBase-LRU", 0x9db4b1b454bd0bc3),
+        ("TLH/8-LRU", 0x3f9c407832aafd96),
+        ("ECI-LRU", 0xe365df4a729d8619),
+        ("RIC-LRU", 0x0f773e5647c75643),
+        ("WayPart-LRU", 0x51a4ac966d9e2e5a),
+        ("ZIV-NotInPrC-LRU", 0x254044b28f062e73),
+        ("ZIV-LRUNotInPrC-LRU", 0xa0251aa4d2262bed),
+        ("ZIV-LikelyDead-LRU", 0x9066f6719ae2f7dc),
+        ("ZIV-MRNotInPrC-SRRIP", 0xfa6e845bdd54d660),
+        ("ZIV-MRLikelyDead-Hawkeye", 0x2ce14df16a4a0036),
+        ("ZIV-LRUNotInPrC-Hawkeye", 0x5ecc0b0c6389acc8),
+        ("ZIV-LikelyDead-Hawkeye", 0xd715c3f9daa9b0f7),
+        ("ZIV-MRNotInPrC-Hawkeye", 0xceb2e4106cfefec3),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(l, d)| (l.as_str(), *d)).collect();
+    for ((label, digest), (_, pinned)) in got.iter().zip(want) {
+        if digest != pinned {
+            eprintln!("{label}: digest {digest:#018x}, pinned {pinned:#018x}");
+        }
+    }
+    assert_eq!(got, want);
 }
