@@ -11,8 +11,9 @@
 //! isolates the next set bit after the current position using the
 //! two's-complement identity `x & (~x + 1) == lowest set bit of x`. We
 //! implement it literally on a multi-word bit string (the hardware's wide
-//! bit-vector becomes a `Vec<u64>` with explicit carry propagation), and
-//! the unit tests check it against a naive scanning implementation.
+//! bit-vector becomes a `Vec<u64>`, evaluated word by word with explicit
+//! carry propagation), and the unit tests check it against a naive
+//! scanning implementation.
 
 use ziv_common::ids::SetIdx;
 
@@ -29,52 +30,26 @@ pub struct PropertyVector {
     current_rs: u32,
 }
 
-/// `out = !a` over a multi-word bit string (bits beyond `sets` stay 0).
-fn word_not(a: &[u64], sets: u32, out: &mut [u64]) {
-    for (o, &w) in out.iter_mut().zip(a) {
-        *o = !w;
-    }
-    mask_tail(out, sets);
-}
-
-/// `out = a + 1` over a multi-word little-endian bit string.
-fn word_add1(a: &[u64], out: &mut [u64]) {
-    let mut carry = true;
-    for (o, &w) in out.iter_mut().zip(a) {
-        let (v, c) = w.overflowing_add(carry as u64);
-        *o = v;
-        carry = c;
+/// The bits of word `i` that lie below `sets` (Algorithm 1 computes on
+/// full-width words and truncates to the vector's width after).
+#[inline]
+fn tail_mask(i: usize, sets: u32) -> u64 {
+    let below = sets as usize - i * 64;
+    if below >= 64 {
+        !0
+    } else {
+        (1u64 << below) - 1
     }
 }
 
-/// `out = a & b`.
-fn word_and(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & y;
-    }
-}
-
-/// Clears bits at and above `sets`.
-fn mask_tail(words: &mut [u64], sets: u32) {
-    let full = (sets / 64) as usize;
-    let rem = sets % 64;
-    if rem != 0 && full < words.len() {
-        words[full] &= (1u64 << rem) - 1;
-    }
-    for w in words.iter_mut().skip(full + usize::from(rem != 0)) {
-        *w = 0;
-    }
-}
-
-/// Position of the single set bit of a one-hot multi-word string, or
-/// `None` if the string is all zeros.
-fn one_hot_position(words: &[u64]) -> Option<u32> {
-    for (i, &w) in words.iter().enumerate() {
-        if w != 0 {
-            return Some(i as u32 * 64 + w.trailing_zeros());
-        }
-    }
-    None
+/// One word of the two's-complement term `x & (~x + 1)`, rippling the
+/// "+1" carry from the word below. Over the whole string this isolates
+/// the lowest set bit of `x`.
+#[inline]
+fn isolate_lowest(x: u64, carry: &mut bool) -> u64 {
+    let (nx1, c) = (!x).overflowing_add(*carry as u64);
+    *carry = c;
+    x & nx1
 }
 
 impl PropertyVector {
@@ -136,58 +111,49 @@ impl PropertyVector {
     /// **Algorithm 1**: computes the decoded `nextRS` — the position of
     /// the next set bit after `current_rs` in round-robin order — without
     /// consuming it. Returns `None` when the PV is empty.
+    ///
+    /// The wide bit-vector terms are evaluated one word at a time, low
+    /// word first, with each "+1" carrying into the next word, so the
+    /// query allocates nothing.
     pub fn peek_next_rs(&self) -> Option<SetIdx> {
         if self.is_empty() {
             return None;
         }
-        let n = self.words.len();
-        // decoded_RS: one-hot at current_rs.
-        let mut decoded_rs = vec![0u64; n];
-        decoded_rs[(self.current_rs / 64) as usize] |= 1u64 << (self.current_rs % 64);
+        let rs_word = (self.current_rs / 64) as usize;
+        let rs_bit = 1u64 << (self.current_rs % 64);
+        // Carries of the three "+1" ripples: the mask's and one per
+        // isolated half.
+        let (mut c_mask, mut c_upper, mut c_lower) = (true, true, true);
+        let mut next_lower = None;
+        for (i, &pv) in self.words.iter().enumerate() {
+            // decoded_RS: one-hot at current_rs. The "+1" must ripple
+            // through the untruncated complement, so the mask is computed
+            // full-width and truncated after.
+            let not_rs = if i == rs_word { !rs_bit } else { !0 };
+            // mask <- ((~decoded_RS) + 1) & (~decoded_RS)
+            // = all bit positions strictly above current_rs.
+            let (plus1, c) = not_rs.overflowing_add(c_mask as u64);
+            c_mask = c;
+            let tail = tail_mask(i, self.sets);
+            let mask = plus1 & not_rs & tail;
 
-        // mask <- ((~decoded_RS) + 1) & (~decoded_RS)
-        // = all bit positions strictly above current_rs.
-        let mut not_rs = vec![0u64; n];
-        // NOTE: the "+1" must ripple through the untruncated complement,
-        // so compute on the full-width complement first and mask after.
-        for (o, &w) in not_rs.iter_mut().zip(&decoded_rs) {
-            *o = !w;
-        }
-        let mut plus1 = vec![0u64; n];
-        word_add1(&not_rs, &mut plus1);
-        let mut mask = vec![0u64; n];
-        word_and(&plus1, &not_rs, &mut mask);
-        mask_tail(&mut mask, self.sets);
+            // upperPV <- PV & mask ; lowerPV <- PV & ~mask
+            let upper = pv & mask;
+            let lower = pv & !mask & tail;
 
-        // upperPV <- PV & mask ; lowerPV <- PV & ~mask
-        let mut upper = vec![0u64; n];
-        word_and(&self.words, &mask, &mut upper);
-        let mut not_mask = vec![0u64; n];
-        word_not(&mask, self.sets, &mut not_mask);
-        let mut lower = vec![0u64; n];
-        word_and(&self.words, &not_mask, &mut lower);
-
-        // decoded_nextRS_{upper,lower} <- x & ((~x) + 1)  (isolate lowest set bit)
-        let isolate = |x: &[u64]| -> Vec<u64> {
-            let mut nx = vec![0u64; n];
-            for (o, &w) in nx.iter_mut().zip(x) {
-                *o = !w;
+            // decoded_nextRS_{upper,lower} <- x & ((~x) + 1). Each is
+            // one-hot over the whole string, so the first non-zero word
+            // holds it; a non-empty upper half wins.
+            let next_upper = isolate_lowest(upper, &mut c_upper);
+            if next_upper != 0 {
+                return Some(i as u32 * 64 + next_upper.trailing_zeros());
             }
-            let mut nx1 = vec![0u64; n];
-            word_add1(&nx, &mut nx1);
-            let mut out = vec![0u64; n];
-            word_and(x, &nx1, &mut out);
-            out
-        };
-        let next_upper = isolate(&upper);
-        let next_lower = isolate(&lower);
-
-        let decoded_next = if next_upper.iter().all(|&w| w == 0) {
-            next_lower
-        } else {
-            next_upper
-        };
-        one_hot_position(&decoded_next)
+            let lower_bit = isolate_lowest(lower, &mut c_lower);
+            if lower_bit != 0 {
+                next_lower = Some(i as u32 * 64 + lower_bit.trailing_zeros());
+            }
+        }
+        next_lower
     }
 
     /// Consumes the current `nextRS`: returns the next relocation set in

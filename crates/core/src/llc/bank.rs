@@ -66,58 +66,99 @@ pub struct LlcBank {
     pub array: SetAssocArray<LlcState>,
     /// The bank's replacement policy (baseline LLC policy).
     pub policy: Box<dyn ReplacementPolicy>,
-    /// `Invalid` property vector.
-    pub pv_invalid: PropertyVector,
-    /// `NotInPrC` property vector.
-    pub pv_not_in_prc: PropertyVector,
-    /// Graded property vector (`LRUNotInPrC` or `MaxRRPVNotInPrC`).
-    pub pv_graded: PropertyVector,
-    /// `LikelyDeadNotInPrC` property vector.
-    pub pv_likely_dead: PropertyVector,
+    /// The property vectors; only a ZIV bank keeps them.
+    pvs: Option<BankPvs>,
     /// The eight-entry relocation buffer (Section III-D1).
     pub fifo: RelocationFifo,
     /// Cycle of the last relocation in this bank (Fig 18 intervals).
     pub last_relocation: Option<Cycle>,
     /// Histogram of relocation intervals (log2 cycles) — Fig 18.
     pub relocation_intervals: Log2Histogram,
-    graded_kind: GradedKind,
     rank_buf: Vec<WayIdx>,
 }
 
-impl LlcBank {
-    /// Creates a bank with the given geometry, policy, and graded-PV
-    /// flavor.
-    pub fn new(
-        geom: CacheGeometry,
-        policy: Box<dyn ReplacementPolicy>,
-        graded_kind: GradedKind,
-    ) -> Self {
-        LlcBank {
-            array: SetAssocArray::new(geom),
-            policy,
-            pv_invalid: full_pv(geom.sets),
-            pv_not_in_prc: PropertyVector::new(geom.sets),
-            pv_graded: PropertyVector::new(geom.sets),
-            pv_likely_dead: PropertyVector::new(geom.sets),
-            fifo: RelocationFifo::new(),
-            last_relocation: None,
-            relocation_intervals: Log2Histogram::new(),
-            graded_kind,
-            rank_buf: Vec::new(),
+/// A ZIV bank's property vectors (Section III-D1) and the sets whose
+/// property bits predate their last mutation.
+///
+/// The hardware updates a set's bits alongside the set itself. The
+/// simulator defers the recompute instead: a mutation only marks the set
+/// stale, and stale sets are recomputed when a PV is read. A recompute
+/// reads the set's current block and policy state, so the bits read are
+/// the ones an update after every mutation would have left (a relocated
+/// hit, which updates no bits, settles the set first: `sync_set`).
+#[derive(Debug)]
+struct BankPvs {
+    invalid: PropertyVector,
+    not_in_prc: PropertyVector,
+    /// Stays empty for properties without a graded level.
+    graded: PropertyVector,
+    likely_dead: PropertyVector,
+    /// `None` when the property never reads the graded PV.
+    graded_kind: Option<GradedKind>,
+    /// One bit per set whose property bits are out of date.
+    stale: Vec<u64>,
+    /// Whether any bit of `stale` may be set.
+    any_stale: bool,
+}
+
+impl BankPvs {
+    fn new(sets: u32, property: ZivProperty) -> Self {
+        BankPvs {
+            invalid: full_pv(sets),
+            not_in_prc: PropertyVector::new(sets),
+            graded: PropertyVector::new(sets),
+            likely_dead: PropertyVector::new(sets),
+            graded_kind: property.graded_kind(),
+            stale: vec![0; sets.div_ceil(64) as usize],
+            any_stale: false,
         }
     }
 
+    #[inline]
+    fn mark_stale(&mut self, set: SetIdx) {
+        self.stale[(set / 64) as usize] |= 1u64 << (set % 64);
+        self.any_stale = true;
+    }
+
+    /// Clears `set`'s stale bit; returns whether it was set.
+    fn take_stale(&mut self, set: SetIdx) -> bool {
+        let word = &mut self.stale[(set / 64) as usize];
+        let bit = 1u64 << (set % 64);
+        let was = *word & bit != 0;
+        *word &= !bit;
+        was
+    }
+
+    /// Recomputes every stale set.
+    fn sync(&mut self, array: &SetAssocArray<LlcState>, policy: &dyn ReplacementPolicy) {
+        if !self.any_stale {
+            return;
+        }
+        for i in 0..self.stale.len() {
+            let mut bits = std::mem::take(&mut self.stale[i]);
+            while bits != 0 {
+                self.recompute(i as u32 * 64 + bits.trailing_zeros(), array, policy);
+                bits &= bits - 1;
+            }
+        }
+        self.any_stale = false;
+    }
+
     /// Recomputes every property bit of `set` from block and policy
-    /// state. Called after any mutation of the set. O(ways).
-    pub fn refresh_set(&mut self, set: SetIdx) {
+    /// state. O(ways).
+    fn recompute(
+        &mut self,
+        set: SetIdx,
+        array: &SetAssocArray<LlcState>,
+        policy: &dyn ReplacementPolicy,
+    ) {
         // One walk derives the Invalid, NotInPrC, and LikelyDeadNotInPrC
         // bits together (an invalid way exists iff fewer than `ways`
-        // slots are valid) — this runs after every set mutation, so the
-        // fused scan matters.
+        // slots are valid).
         let mut valid_ways = 0usize;
         let mut any_nip = false;
         let mut any_dead_nip = false;
-        for w in self.array.iter_set(set) {
+        for w in array.iter_set(set) {
             valid_ways += 1;
             if !w.state.relocated && w.state.not_in_prc {
                 any_nip = true;
@@ -126,56 +167,144 @@ impl LlcBank {
                 }
             }
         }
-        self.pv_invalid
-            .set(set, valid_ways < self.array.geometry().ways as usize);
-        self.pv_not_in_prc.set(set, any_nip);
-        self.pv_likely_dead.set(set, any_dead_nip);
+        self.invalid
+            .set(set, valid_ways < array.geometry().ways as usize);
+        self.not_in_prc.set(set, any_nip);
+        self.likely_dead.set(set, any_dead_nip);
 
         let graded = match self.graded_kind {
-            GradedKind::LruPos => {
+            None => return,
+            Some(GradedKind::LruPos) => {
                 // The block entering the LRU (first-ranked) position has
-                // NotInPrC set (Section III-D4).
-                let ctx = neutral_ctx();
-                self.policy.rank(set, &ctx, &mut self.rank_buf);
-                self.rank_buf.first().copied().is_some_and(|w| {
-                    self.array.is_valid(set, w) && {
-                        let s = self.array.state(set, w);
-                        !s.relocated && s.not_in_prc
-                    }
-                })
+                // NotInPrC set (Section III-D4). Every policy's rank order
+                // starts at its victim, so no sort is needed.
+                let w = policy.victim(set, &neutral_ctx());
+                array.is_valid(set, w) && {
+                    let s = array.state(set, w);
+                    !s.relocated && s.not_in_prc
+                }
             }
-            GradedKind::MaxRrpv => {
+            Some(GradedKind::MaxRrpv) => {
                 // The set has a cache-averse (RRPV = 7) block that is not
                 // privately cached (Section III-D5).
-                self.array.iter_set(set).any(|w| {
+                array.iter_set(set).any(|w| {
                     !w.state.relocated
                         && w.state.not_in_prc
-                        && self.policy.rrpv(set, w.way) == Some(RRPV_MAX)
+                        && policy.rrpv(set, w.way) == Some(RRPV_MAX)
                 })
             }
         };
-        self.pv_graded.set(set, graded);
+        self.graded.set(set, graded);
+    }
+
+    fn pv(&self, level: PropertyLevel) -> &PropertyVector {
+        match level {
+            PropertyLevel::Invalid => &self.invalid,
+            PropertyLevel::Graded => &self.graded,
+            PropertyLevel::LikelyDead => &self.likely_dead,
+            PropertyLevel::NotInPrC => &self.not_in_prc,
+        }
+    }
+
+    fn pv_mut(&mut self, level: PropertyLevel) -> &mut PropertyVector {
+        match level {
+            PropertyLevel::Invalid => &mut self.invalid,
+            PropertyLevel::Graded => &mut self.graded,
+            PropertyLevel::LikelyDead => &mut self.likely_dead,
+            PropertyLevel::NotInPrC => &mut self.not_in_prc,
+        }
+    }
+}
+
+impl LlcBank {
+    /// Creates a bank with the given geometry and policy. A bank of a
+    /// ZIV LLC passes its relocation property and keeps property
+    /// vectors; every other bank passes `None` and keeps none.
+    pub fn new(
+        geom: CacheGeometry,
+        policy: Box<dyn ReplacementPolicy>,
+        property: Option<ZivProperty>,
+    ) -> Self {
+        LlcBank {
+            array: SetAssocArray::new(geom),
+            policy,
+            pvs: property.map(|p| BankPvs::new(geom.sets, p)),
+            fifo: RelocationFifo::new(),
+            last_relocation: None,
+            relocation_intervals: Log2Histogram::new(),
+            rank_buf: Vec::new(),
+        }
+    }
+
+    /// Records that `set`'s block or policy state changed, so its
+    /// property bits must be recomputed before they are next read.
+    /// Called after any mutation of the set; O(1).
+    #[inline]
+    pub fn mark_stale(&mut self, set: SetIdx) {
+        if let Some(pvs) = &mut self.pvs {
+            pvs.mark_stale(set);
+        }
+    }
+
+    /// Recomputes the property bits of every stale set.
+    pub fn sync_pvs(&mut self) {
+        if let Some(pvs) = &mut self.pvs {
+            pvs.sync(&self.array, self.policy.as_ref());
+        }
+    }
+
+    /// Recomputes `set`'s property bits now if they are stale. A policy
+    /// update that must not reach the bits (a relocated hit, DESIGN.md
+    /// §8) calls this first, so a later sync cannot fold it in.
+    pub fn sync_set(&mut self, set: SetIdx) {
+        if let Some(pvs) = &mut self.pvs {
+            if pvs.take_stale(set) {
+                pvs.recompute(set, &self.array, self.policy.as_ref());
+            }
+        }
     }
 
     /// Whether `set` satisfies the property at `level` (used for the
     /// "check the original set first" rule of Sections III-D4..7).
-    pub fn set_satisfies(&self, set: SetIdx, level: PropertyLevel) -> bool {
-        match level {
-            PropertyLevel::Invalid => self.pv_invalid.get(set),
-            PropertyLevel::Graded => self.pv_graded.get(set),
-            PropertyLevel::LikelyDead => self.pv_likely_dead.get(set),
-            PropertyLevel::NotInPrC => self.pv_not_in_prc.get(set),
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank keeps no property vectors (not a ZIV bank).
+    pub fn set_satisfies(&mut self, set: SetIdx, level: PropertyLevel) -> bool {
+        self.sync_set(set);
+        self.pvs().pv(level).get(set)
     }
 
-    /// The PV for `level`.
-    pub fn pv_mut(&mut self, level: PropertyLevel) -> &mut PropertyVector {
-        match level {
-            PropertyLevel::Invalid => &mut self.pv_invalid,
-            PropertyLevel::Graded => &mut self.pv_graded,
-            PropertyLevel::LikelyDead => &mut self.pv_likely_dead,
-            PropertyLevel::NotInPrC => &mut self.pv_not_in_prc,
-        }
+    /// The PV for `level`, with every stale set recomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank keeps no property vectors (not a ZIV bank).
+    pub fn pv(&mut self, level: PropertyLevel) -> &PropertyVector {
+        self.sync_pvs();
+        self.pvs().pv(level)
+    }
+
+    /// Consumes the `nextRS` of the PV for `level` (Algorithm 1), with
+    /// every stale set recomputed first. `None` when no set satisfies
+    /// the property.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank keeps no property vectors (not a ZIV bank).
+    pub fn take_next_rs(&mut self, level: PropertyLevel) -> Option<SetIdx> {
+        self.sync_pvs();
+        self.pvs
+            .as_mut()
+            .expect("only a ZIV bank keeps property vectors")
+            .pv_mut(level)
+            .take_next_rs()
+    }
+
+    fn pvs(&self) -> &BankPvs {
+        self.pvs
+            .as_ref()
+            .expect("only a ZIV bank keeps property vectors")
     }
 
     /// Selects the victim within a relocation set, following the
@@ -236,7 +365,8 @@ pub enum PropertyLevel {
     NotInPrC,
 }
 
-/// Neutral policy context for rank queries outside a demand access.
+/// Neutral policy context for victim and rank queries outside a demand
+/// access.
 pub(crate) fn neutral_ctx() -> AccessCtx {
     AccessCtx::demand(LineAddr::new(0), 0, ziv_common::CoreId::new(0), 0, u64::MAX)
 }
@@ -258,12 +388,20 @@ mod tests {
 
     fn bank_lru() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Lru::new(geom)), GradedKind::LruPos)
+        LlcBank::new(
+            geom,
+            Box::new(Lru::new(geom)),
+            Some(ZivProperty::LruNotInPrC),
+        )
     }
 
     fn bank_rrpv() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Srrip::new(geom)), GradedKind::MaxRrpv)
+        LlcBank::new(
+            geom,
+            Box::new(Srrip::new(geom)),
+            Some(ZivProperty::MaxRrpvNotInPrC),
+        )
     }
 
     fn fill(bank: &mut LlcBank, set: SetIdx, way: WayIdx, line: u64, nip: bool) {
@@ -283,14 +421,14 @@ mod tests {
             way,
             &AccessCtx::demand(l, 0x40, ziv_common::CoreId::new(0), 0, 0),
         );
-        bank.refresh_set(set);
+        bank.mark_stale(set);
     }
 
     #[test]
     fn empty_bank_has_all_invalid_bits() {
-        let b = bank_lru();
-        assert_eq!(b.pv_invalid.count_ones(), 8);
-        assert!(b.pv_not_in_prc.is_empty());
+        let mut b = bank_lru();
+        assert_eq!(b.pv(PropertyLevel::Invalid).count_ones(), 8);
+        assert!(b.pv(PropertyLevel::NotInPrC).is_empty());
     }
 
     #[test]
@@ -299,18 +437,18 @@ mod tests {
         for w in 0..4 {
             fill(&mut b, 2, w, 100 + w as u64, false);
         }
-        assert!(!b.pv_invalid.get(2));
-        assert!(b.pv_invalid.get(3));
+        assert!(!b.pv(PropertyLevel::Invalid).get(2));
+        assert!(b.pv(PropertyLevel::Invalid).get(3));
     }
 
     #[test]
     fn not_in_prc_pv_tracks_state() {
         let mut b = bank_lru();
         fill(&mut b, 1, 0, 50, true);
-        assert!(b.pv_not_in_prc.get(1));
+        assert!(b.pv(PropertyLevel::NotInPrC).get(1));
         b.array.state_mut(1, 0).not_in_prc = false;
-        b.refresh_set(1);
-        assert!(!b.pv_not_in_prc.get(1));
+        b.mark_stale(1);
+        assert!(!b.pv(PropertyLevel::NotInPrC).get(1));
     }
 
     #[test]
@@ -318,8 +456,8 @@ mod tests {
         let mut b = bank_lru();
         fill(&mut b, 1, 0, 50, true);
         b.array.state_mut(1, 0).relocated = true;
-        b.refresh_set(1);
-        assert!(!b.pv_not_in_prc.get(1));
+        b.mark_stale(1);
+        assert!(!b.pv(PropertyLevel::NotInPrC).get(1));
     }
 
     #[test]
@@ -330,13 +468,13 @@ mod tests {
         }
         // Way 0 is LRU; mark way 3 (MRU) NotInPrC -> graded bit off.
         b.array.state_mut(0, 3).not_in_prc = true;
-        b.refresh_set(0);
-        assert!(!b.pv_graded.get(0));
-        assert!(b.pv_not_in_prc.get(0));
+        b.mark_stale(0);
+        assert!(!b.pv(PropertyLevel::Graded).get(0));
+        assert!(b.pv(PropertyLevel::NotInPrC).get(0));
         // Mark way 0 (LRU) NotInPrC -> graded bit on.
         b.array.state_mut(0, 0).not_in_prc = true;
-        b.refresh_set(0);
-        assert!(b.pv_graded.get(0));
+        b.mark_stale(0);
+        assert!(b.pv(PropertyLevel::Graded).get(0));
     }
 
     #[test]
@@ -346,11 +484,11 @@ mod tests {
             fill(&mut b, 0, w, 10 + w as u64, true);
         }
         // SRRIP fills at RRPV_MAX-1: no averse block yet.
-        assert!(!b.pv_graded.get(0));
+        assert!(!b.pv(PropertyLevel::Graded).get(0));
         b.policy.on_evict(0, 2); // forces way 2 to RRPV_MAX
         b.array.state_mut(0, 2).not_in_prc = true;
-        b.refresh_set(0);
-        assert!(b.pv_graded.get(0));
+        b.mark_stale(0);
+        assert!(b.pv(PropertyLevel::Graded).get(0));
     }
 
     #[test]
@@ -369,7 +507,7 @@ mod tests {
         // LRU order is 0,1,2,3; mark ways 2 and 1 NotInPrC.
         b.array.state_mut(0, 2).not_in_prc = true;
         b.array.state_mut(0, 1).not_in_prc = true;
-        b.refresh_set(0);
+        b.mark_stale(0);
         assert_eq!(b.relocation_victim(0, ZivProperty::NotInPrC), Some(1));
     }
 
@@ -381,11 +519,11 @@ mod tests {
         }
         // Way 3 is MRU but LikelyDead: LikelyDead level beats position.
         b.array.state_mut(0, 3).likely_dead = true;
-        b.refresh_set(0);
+        b.mark_stale(0);
         assert_eq!(b.relocation_victim(0, ZivProperty::LikelyDead), Some(3));
         // Without any LikelyDead, falls back to NotInPrC closest to LRU.
         b.array.state_mut(0, 3).likely_dead = false;
-        b.refresh_set(0);
+        b.mark_stale(0);
         assert_eq!(b.relocation_victim(0, ZivProperty::LikelyDead), Some(0));
     }
 

@@ -4,6 +4,8 @@
 //! relocation-set properties.
 
 mod bank;
+#[cfg(test)]
+mod tests;
 
 pub use bank::{EvictedBlock, LlcBank, LlcState, PropertyLevel};
 
@@ -12,7 +14,7 @@ use ziv_common::config::LlcConfig;
 use ziv_common::ids::{SetIdx, WayIdx};
 use ziv_common::{BankId, Cycle, LineAddr, SimRng};
 use ziv_directory::{LlcLocation, SparseDirectory};
-use ziv_replacement::{AccessCtx, PolicyKind, ReplacementPolicy};
+use ziv_replacement::{AccessCtx, ReplacementPolicy};
 
 /// The ZIV relocation-set properties of Section III-D, in increasing
 /// implementation complexity. The paper pairs the first three with LRU
@@ -44,6 +46,18 @@ impl ZivProperty {
             ZivProperty::LruNotInPrC | ZivProperty::MaxRrpvNotInPrC => &[Invalid, Graded, NotInPrC],
             ZivProperty::LikelyDead => &[Invalid, LikelyDead, NotInPrC],
             ZivProperty::MaxRrpvLikelyDead => &[Invalid, Graded, LikelyDead, NotInPrC],
+        }
+    }
+
+    /// Flavor of the graded PV, or `None` when the property has no
+    /// graded level (the `Graded` entry of [`ZivProperty::levels`]).
+    pub fn graded_kind(self) -> Option<GradedKind> {
+        match self {
+            ZivProperty::LruNotInPrC => Some(GradedKind::LruPos),
+            ZivProperty::MaxRrpvNotInPrC | ZivProperty::MaxRrpvLikelyDead => {
+                Some(GradedKind::MaxRrpv)
+            }
+            ZivProperty::NotInPrC | ZivProperty::LikelyDead => None,
         }
     }
 
@@ -286,20 +300,16 @@ impl SharedLlc {
     pub fn new(
         cfg: LlcConfig,
         mode: LlcMode,
-        policy_kind: PolicyKind,
         mut build_policy: impl FnMut(usize) -> Box<dyn ReplacementPolicy>,
         seed: u64,
     ) -> Self {
-        let graded = match mode {
-            LlcMode::Ziv(ZivProperty::MaxRrpvNotInPrC | ZivProperty::MaxRrpvLikelyDead) => {
-                GradedKind::MaxRrpv
-            }
-            LlcMode::Ziv(_) => GradedKind::LruPos,
-            _ if policy_kind.is_rrpv_based() => GradedKind::MaxRrpv,
-            _ => GradedKind::LruPos,
+        // Only ZIV reads property vectors, so only ZIV banks keep them.
+        let property = match mode {
+            LlcMode::Ziv(p) => Some(p),
+            _ => None,
         };
         let banks = (0..cfg.banks)
-            .map(|b| LlcBank::new(cfg.bank_geometry, build_policy(b), graded))
+            .map(|b| LlcBank::new(cfg.bank_geometry, build_policy(b), property))
             .collect();
         SharedLlc {
             cfg,
@@ -359,11 +369,11 @@ impl SharedLlc {
         self.banks[loc.bank.index()].array.state(loc.set, loc.way)
     }
 
-    /// Mutates the state at `loc` and refreshes the set's PVs.
+    /// Mutates the state at `loc` and marks the set's PV bits stale.
     pub fn update_state(&mut self, loc: LlcLocation, f: impl FnOnce(&mut LlcState)) {
         let bank = &mut self.banks[loc.bank.index()];
         f(bank.array.state_mut(loc.set, loc.way));
-        bank.refresh_set(loc.set);
+        bank.mark_stale(loc.set);
     }
 
     /// Demand hit on a non-relocated block: policy update, `NotInPrC` /
@@ -380,16 +390,21 @@ impl SharedLlc {
         let recall = st.evict_group.take();
         st.not_in_prc = false;
         st.likely_dead = false;
-        bank.refresh_set(loc.set);
+        bank.mark_stale(loc.set);
         recall
     }
 
     /// Demand hit on a relocated block (reached through the sparse
     /// directory): only the relocation set's replacement state is
     /// updated "in the background" (Section III-C1).
+    ///
+    /// The set's PV bits are not refreshed for this update (DESIGN.md
+    /// §8), so a recompute still pending from an earlier mutation is
+    /// settled first: a later sync must not fold this hit in.
     pub fn on_relocated_hit(&mut self, loc: LlcLocation, ctx: &AccessCtx) {
         let bank = &mut self.banks[loc.bank.index()];
         debug_assert!(bank.array.state(loc.set, loc.way).relocated);
+        bank.sync_set(loc.set);
         bank.policy.on_hit(loc.set, loc.way, ctx);
     }
 
@@ -401,7 +416,7 @@ impl SharedLlc {
         if out.is_some() {
             bank.policy.on_evict(loc.set, loc.way);
         }
-        bank.refresh_set(loc.set);
+        bank.mark_stale(loc.set);
         out
     }
 
@@ -523,7 +538,7 @@ impl SharedLlc {
         );
         debug_assert!(displaced.is_none(), "install must target an empty way");
         b.policy.on_fill(set, way, ctx);
-        b.refresh_set(set);
+        b.mark_stale(set);
     }
 
     fn line_at(&self, bank: BankId, set: SetIdx, way: WayIdx) -> LineAddr {
@@ -685,11 +700,12 @@ impl SharedLlc {
         }
 
         // The baseline victim has privately cached copies: find where to
-        // put it (or a better victim in this very set).
+        // put it (or a better victim in this very set). The PV reads
+        // below recompute the bank's stale sets first.
         for &level in prop.levels() {
             if level == PropertyLevel::LikelyDead
                 && !self.banks[bank.index()].set_satisfies(set, level)
-                && self.banks[bank.index()].pv_mut(level).is_empty()
+                && self.banks[bank.index()].pv(level).is_empty()
             {
                 // Record the dead-block starvation for the CHAR
                 // threshold adaptation (Fig 7).
@@ -707,7 +723,7 @@ impl SharedLlc {
                 return ZivChoice::Evict(w);
             }
             // Then the global PV of this bank.
-            if let Some(rs) = self.banks[bank.index()].pv_mut(level).take_next_rs() {
+            if let Some(rs) = self.banks[bank.index()].take_next_rs(level) {
                 if rs != set {
                     return self.relocate(bank, set, baseline, bank, rs, prop, outcome, ctx, now);
                 }
@@ -732,7 +748,7 @@ impl SharedLlc {
         });
         for other in others {
             for &level in prop.levels() {
-                if let Some(rs) = self.banks[other].pv_mut(level).take_next_rs() {
+                if let Some(rs) = self.banks[other].take_next_rs(level) {
                     return self.relocate(
                         bank,
                         set,
@@ -822,7 +838,7 @@ impl SharedLlc {
         );
         let reloc_ctx = AccessCtx::demand(moved.line, 0, ctx.core, ctx.now, ctx.seq);
         dst.policy.on_relocate_in(dst_set, dst_way, &reloc_ctx);
-        dst.refresh_set(dst_set);
+        dst.mark_stale(dst_set);
 
         // Timing + statistics through the relocation FIFO.
         let write_latency = self.cfg.data_latency;

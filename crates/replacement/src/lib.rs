@@ -106,30 +106,57 @@ pub trait ReplacementPolicy: std::fmt::Debug {
 }
 
 /// Asserts the basic contract every policy must satisfy; shared by the
-/// per-policy test modules.
+/// per-policy test modules. `rank` must be a permutation of the set's
+/// ways whose head is `victim`, on a freshly filled set and after every
+/// step of a seeded random mix of fills, hits, evictions, relocation
+/// insertions and protections over lines `0..4 * sets * ways`.
 #[cfg(test)]
 pub(crate) fn check_policy_contract(
     policy: &mut dyn ReplacementPolicy,
     sets: SetIdx,
     ways: WayIdx,
 ) {
-    use ziv_common::{CoreId, LineAddr};
+    use ziv_common::{CoreId, LineAddr, SimRng};
     let ctx = AccessCtx::demand(LineAddr::new(1), 0x400, CoreId::new(0), 0, 0);
-    for set in 0..sets {
-        for way in 0..ways {
-            policy.on_fill(set, way, &ctx);
-        }
-        let mut order = Vec::new();
-        policy.rank(set, &ctx, &mut order);
-        assert_eq!(order.len(), ways as usize, "rank must cover all ways");
+    let mut order = Vec::new();
+    let mut check = |policy: &dyn ReplacementPolicy, set: SetIdx, ctx: &AccessCtx, step| {
+        policy.rank(set, ctx, &mut order);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(
             sorted,
             (0..ways).collect::<Vec<_>>(),
-            "rank must be a permutation"
+            "step {step}: rank must be a permutation of all ways"
         );
-        let v = policy.victim(set, &ctx);
-        assert_eq!(v, order[0], "victim must be the first-ranked way");
+        let v = policy.victim(set, ctx);
+        assert_eq!(
+            v, order[0],
+            "step {step}: victim must be the first-ranked way"
+        );
+    };
+    for set in 0..sets {
+        for way in 0..ways {
+            policy.on_fill(set, way, &ctx);
+        }
+        check(policy, set, &ctx, 0);
+    }
+    let mut rng = SimRng::seed_from_u64(0xC047_AC75);
+    let lines = 4 * u64::from(sets) * u64::from(ways);
+    for step in 1..=4_000u64 {
+        let set = rng.below(u64::from(sets)) as SetIdx;
+        let way = rng.below(u64::from(ways)) as WayIdx;
+        let line = LineAddr::new(rng.below(lines));
+        let ctx = AccessCtx::demand(line, 0x400 + 4 * rng.below(8), CoreId::new(0), step, step);
+        match rng.below(6) {
+            0 | 1 => policy.on_hit(set, way, &ctx),
+            2 => {
+                policy.on_evict(set, way);
+                policy.on_fill(set, way, &ctx);
+            }
+            3 => policy.on_evict(set, way),
+            4 => policy.on_relocate_in(set, way, &ctx),
+            _ => policy.protect(set, way),
+        }
+        check(policy, set, &ctx, step);
     }
 }

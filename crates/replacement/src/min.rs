@@ -119,6 +119,14 @@ mod tests {
     }
 
     #[test]
+    fn satisfies_contract() {
+        // A future over the contract's lines, so next-use distances vary.
+        let stream = (0..4_100u64).map(|s| (s, LineAddr::new(s * 7 % 64)));
+        let future = Rc::new(PrecomputedFuture::from_stream(stream));
+        crate::check_policy_contract(&mut MinOracle::new(CacheGeometry::new(4, 4), future), 4, 4);
+    }
+
+    #[test]
     fn evicts_furthest_next_use() {
         // Stream: A@0 B@1 A@2 B@10  -> at seq=1, B (next use 10) is
         // further than A (next use 2).
