@@ -12,32 +12,33 @@
 //!   [`VictimReason`](crate::llc::VictimReason));
 //! * every inclusive back-invalidation or ECI tear-out that victimizes
 //!   at least one private copy emits a **causal chain**: instigator
-//!   access → eviction decision → per-core victims → (via the same
-//!   bounded victim tables the latency observatory uses) the eventual
-//!   re-fetch and its cycle cost;
+//!   access → eviction decision → per-core victims → (via the flight
+//!   recorder's [`VictimTable`](crate::observe::VictimTable), which
+//!   remembers each victim's chain) the eventual re-fetch and its cycle
+//!   cost;
 //! * chains aggregate into a **blame matrix** (instigator core × victim
 //!   core) plus per-set and per-phase rollups.
 //!
 //! Conservation is exact and pinned by tests: the matrix's victim total
 //! equals [`Metrics::inclusion_victims`](crate::Metrics) (chain victims
 //! are noted at exactly the sites that bump the counter), and — because
-//! the victim tables replicate the latency observatory's direct-mapped
-//! slot/overwrite/clear semantics bit for bit — the matrix's re-fetch
+//! one victim-table lookup per private miss drives both this matrix and
+//! the latency observatory's re-fetch class — the matrix's re-fetch
 //! cycle total equals
 //! [`LatencyReport::inclusion_victim_refetch_cycles`](crate::latency::LatencyReport::inclusion_victim_refetch_cycles)
 //! whenever both observatories run. ZIV modes never back-invalidate, so
 //! they report exactly zero chains.
 //!
 //! Like every observatory the forensics layer rides the
-//! [`FlightRecorder`](crate::observe::FlightRecorder): never digested,
-//! never in the result ledger, one never-taken branch per eviction site
-//! when off.
+//! [`FlightRecorder`](crate::observe::FlightRecorder), whose hooks feed
+//! it: never digested, never in the result ledger, one never-taken
+//! branch per eviction site when off.
 
-use crate::latency::VICTIM_TABLE_SLOTS;
 use crate::llc::VictimReason;
+use crate::observe::flat_set;
 use ziv_common::{CoreId, Cycle, LineAddr};
 
-/// Slots in the direct-mapped provenance table. Like the victim tables,
+/// Slots in the direct-mapped provenance table. Like the victim table,
 /// a collision overwrites the older stamp, so a chain's allocation
 /// provenance is a floor: when present it is exact, when absent the
 /// stamp was displaced by a congruent later fill.
@@ -125,21 +126,6 @@ pub struct CausalChain {
     pub refetch_cycles: u64,
 }
 
-/// One per-core victim-table entry: the victimized line plus the chain
-/// that caused it, so a later re-fetch can be attributed.
-#[derive(Debug, Clone, Copy)]
-struct VictimEntry {
-    line_raw: u64,
-    instigator: CoreId,
-    chain_seq: u64,
-}
-
-const EMPTY_VICTIM: VictimEntry = VictimEntry {
-    line_raw: u64::MAX,
-    instigator: CoreId::new(0),
-    chain_seq: 0,
-};
-
 /// The live observatory, attached to the flight recorder.
 #[derive(Debug)]
 pub struct ForensicsObservatory {
@@ -149,10 +135,6 @@ pub struct ForensicsObservatory {
     /// Direct-mapped provenance stamps: `(line_raw, stamp)`, sentinel
     /// `u64::MAX` for empty.
     provenance: Vec<(u64, ProvenanceStamp)>,
-    /// Per-core recently-victimized tables — identical slot, overwrite,
-    /// and clear semantics as the latency observatory's, so both attribute
-    /// the same set of re-fetches.
-    victims: Vec<Vec<VictimEntry>>,
     /// Last-K chain ring (same discipline as `EventRing`).
     chains: Vec<CausalChain>,
     chain_head: usize,
@@ -196,7 +178,6 @@ impl ForensicsObservatory {
             banks,
             sets_per_bank,
             provenance: vec![(u64::MAX, empty_stamp); PROVENANCE_SLOTS],
-            victims: vec![vec![EMPTY_VICTIM; VICTIM_TABLE_SLOTS]; cores],
             chains: Vec::with_capacity(CHAIN_RING_CAPACITY),
             chain_head: 0,
             chains_recorded: 0,
@@ -210,15 +191,6 @@ impl ForensicsObservatory {
             inclusive_chains: 0,
             eci_chains: 0,
         }
-    }
-
-    /// The flat `(bank, set)` index of a raw line address — the same
-    /// bank-bits-low mapping `LlcConfig::bank_of`/`set_of` use.
-    #[inline]
-    fn flat_set(&self, line: u64) -> usize {
-        let bank = (line as usize) & (self.banks - 1);
-        let set = ((line >> self.banks.trailing_zeros()) as usize) & (self.sets_per_bank - 1);
-        bank * self.sets_per_bank + set
     }
 
     /// Stamps a freshly filled line with its allocating access.
@@ -273,7 +245,7 @@ impl ForensicsObservatory {
             ChainKind::Inclusive => self.provenance_take(line),
             ChainKind::Eci => self.provenance_peek(line),
         };
-        let flat = self.flat_set(line.raw());
+        let flat = flat_set(line.raw(), self.banks, self.sets_per_bank);
         self.pending = Some(CausalChain {
             seq: self.chains_recorded,
             kind,
@@ -294,9 +266,11 @@ impl ForensicsObservatory {
 
     /// Records one private-copy victim of the open chain — called from
     /// exactly the sites that bump `Metrics::inclusion_victims`, which
-    /// is what makes the victim total conserve.
+    /// is what makes the victim total conserve. Returns the chain's
+    /// sequence number, which the victim table keeps so the core's next
+    /// miss on the line can be blamed back on this chain.
     #[inline]
-    pub fn chain_victim(&mut self, victim: CoreId) {
+    pub fn chain_victim(&mut self, victim: CoreId) -> u64 {
         let chain = self
             .pending
             .as_mut()
@@ -305,24 +279,15 @@ impl ForensicsObservatory {
         chain.victim_count += 1;
         let seq = chain.seq;
         let instigator = chain.instigator_core;
-        let line = chain.line;
         let phase = (chain.instigator_access / PHASE_ACCESSES) as usize;
-        let flat = self.flat_set(line.raw());
+        let flat = flat_set(chain.line.raw(), self.banks, self.sets_per_bank);
         self.victim_matrix[instigator.index() * self.cores + victim.index()] += 1;
         self.set_victims[flat] += 1;
         if self.phase_victims.len() <= phase {
             self.phase_victims.resize(phase + 1, 0);
         }
         self.phase_victims[phase] += 1;
-        // Remember the victimization so the core's next miss on the line
-        // can be attributed back to this chain — same direct-mapped
-        // slot/overwrite discipline as the latency observatory.
-        let slot = line.raw() as usize & (VICTIM_TABLE_SLOTS - 1);
-        self.victims[victim.index()][slot] = VictimEntry {
-            line_raw: line.raw(),
-            instigator,
-            chain_seq: seq,
-        };
+        seq
     }
 
     /// Closes the chain opened by the current eviction, retaining it
@@ -345,28 +310,8 @@ impl ForensicsObservatory {
         self.chains_recorded += 1;
     }
 
-    /// Whether `core`'s miss on `line` re-fetches a recently victimized
-    /// copy; clears the entry (one victimization explains at most one
-    /// re-fetch) and returns the instigating `(core, chain seq)`.
-    ///
-    /// Mirrors `LatencyObservatory::take_victim` exactly: when both
-    /// observatories run, they note and take the same sequence of
-    /// entries, so their re-fetch attributions agree bit for bit.
-    #[inline]
-    pub fn take_victim(&mut self, core: CoreId, line: LineAddr) -> Option<(CoreId, u64)> {
-        let slot = line.raw() as usize & (VICTIM_TABLE_SLOTS - 1);
-        let entry = &mut self.victims[core.index()][slot];
-        if entry.line_raw == line.raw() {
-            let hit = (entry.instigator, entry.chain_seq);
-            *entry = EMPTY_VICTIM;
-            Some(hit)
-        } else {
-            None
-        }
-    }
-
     /// Attributes one completed re-fetch (full access latency `cycles`)
-    /// back to the chain `take_victim` identified. The blame matrix is
+    /// back to the chain the victim table identified. The blame matrix is
     /// updated unconditionally; the chain record itself only if it still
     /// sits in the bounded ring.
     pub fn record_refetch(&mut self, instigator: CoreId, victim: CoreId, seq: u64, cycles: Cycle) {
@@ -602,39 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn refetch_attribution_mirrors_latency_table_semantics() {
-        use crate::latency::LatencyObservatory;
+    fn refetches_are_blamed_on_their_chain() {
         let mut f = ForensicsObservatory::new(2, 4, 16);
-        let mut l = LatencyObservatory::new(2);
-        let a = line(0x7);
-        let b = line(0x7 + VICTIM_TABLE_SLOTS as u64); // same slot as `a`
-        for (victim_line, seq_access) in [(a, 0), (b, 1)] {
-            f.open_chain(
-                ChainKind::Inclusive,
-                CoreId::new(0),
-                seq_access,
-                0,
-                victim_line,
-                VictimReason::Baseline,
-            );
-            f.chain_victim(CoreId::new(1));
-            f.close_chain();
-            l.note_back_invalidation(CoreId::new(1), victim_line);
-        }
-        // The collision overwrote `a` in *both* tables.
-        assert!(!l.take_victim(CoreId::new(1), a));
-        assert!(f.take_victim(CoreId::new(1), a).is_none());
-        let hit = f.take_victim(CoreId::new(1), b).expect("b remembered");
-        assert!(l.take_victim(CoreId::new(1), b));
-        assert_eq!(hit.0.index(), 0);
-        f.record_refetch(hit.0, CoreId::new(1), hit.1, 123);
-        // Taking clears: a second miss on the line is not a re-fetch.
-        assert!(f.take_victim(CoreId::new(1), b).is_none());
+        f.open_chain(
+            ChainKind::Inclusive,
+            CoreId::new(0),
+            0,
+            0,
+            line(0x7),
+            VictimReason::Baseline,
+        );
+        let seq = f.chain_victim(CoreId::new(1));
+        f.close_chain();
+        f.record_refetch(CoreId::new(0), CoreId::new(1), seq, 123);
         let r = f.finish();
         assert_eq!(r.total_refetches(), 1);
         assert_eq!(r.total_refetch_cycles(), 123);
         assert_eq!(r.refetch_cycles(0, 1), 123);
-        let back = r.chains.iter().find(|c| c.seq == hit.1).unwrap();
+        let back = r.chains.iter().find(|c| c.seq == seq).unwrap();
         assert_eq!(back.refetch_cycles, 123);
         assert_eq!(back.refetches, 1);
     }

@@ -3,11 +3,11 @@
 //! engine, the mesh, and main memory — orchestrated access by access.
 
 use crate::audit::FaultInjection;
-use crate::forensics::{ChainKind, ProvenanceStamp};
+use crate::forensics::ChainKind;
 use crate::latency::{AccessClass, LatencyBreakdown};
 use crate::llc::{EvictedBlock, FillOutcome, LlcMode, SharedLlc, VictimReason, ZivProperty};
 use crate::metrics::Metrics;
-use crate::observe::{EventKind, FlightRecorder, TraceEvent};
+use crate::observe::FlightRecorder;
 use crate::prefetch::{PrefetchConfig, StridePrefetcher};
 use crate::private::{EvictionNotice, PrivLookup, PrivateHierarchy};
 use crate::profile::{ProfileSection, SelfProfiler};
@@ -190,9 +190,10 @@ pub struct CacheHierarchy {
     /// polls [`CacheHierarchy::is_hung`] and parks the cell until the
     /// supervisor cancels it.
     hung: bool,
-    /// Attached flight recorder (events/heatmaps). `None` in every
-    /// untraced run: each emission site pays one branch and nothing
-    /// else, keeping the hot path allocation-free.
+    /// Attached flight recorder (events, heatmaps, and the latency,
+    /// leakage and forensics observatories), fed through one hook per
+    /// inclusion site. `None` in every untraced run: each site pays one
+    /// branch and nothing else, keeping the hot path allocation-free.
     recorder: Option<Box<FlightRecorder>>,
     /// Attached wall-clock self-profiler (`--profile`). `None` in every
     /// unprofiled run: each span pays one branch and never reads the
@@ -301,8 +302,8 @@ impl CacheHierarchy {
         &mut self.metrics
     }
 
-    /// Attaches a flight recorder; subsequent accesses emit events
-    /// and/or heatmap counts into it. Recording never alters simulation
+    /// Attaches a flight recorder; subsequent accesses report their
+    /// inclusion events to it. Recording never alters simulation
     /// behavior or metrics.
     pub fn attach_recorder(&mut self, recorder: Box<FlightRecorder>) {
         self.recorder = Some(recorder);
@@ -395,35 +396,9 @@ impl CacheHierarchy {
     /// without one); the driver calls this before aborting a run so the
     /// ring retains the verdict alongside the events leading up to it.
     pub fn record_audit_violation(&mut self, v: &ziv_common::AuditViolation, now: Cycle) {
-        if let Some(rec) = self.recorder.as_mut() {
+        if let Some(rec) = self.recorder.as_deref_mut() {
             rec.record_violation(v, now);
         }
-    }
-
-    /// Emits one typed event at the current access index; a single
-    /// branch when no recorder is attached.
-    #[inline]
-    fn emit_event(
-        &mut self,
-        kind: EventKind,
-        now: Cycle,
-        line: LineAddr,
-        core: Option<CoreId>,
-        loc: Option<LlcLocation>,
-    ) {
-        let Some(rec) = self.recorder.as_mut() else {
-            return;
-        };
-        rec.record(TraceEvent {
-            kind,
-            access_index: self.accesses_done.saturating_sub(1),
-            cycle: now,
-            line: line.raw(),
-            core: core.map(|c| c.index() as u16),
-            bank: loc.map(|l| l.bank.index() as u16),
-            set: loc.map(|l| l.set),
-            way: loc.map(|l| l.way),
-        });
     }
 
     /// The DRAM model (energy/row-hit diagnostics).
@@ -476,11 +451,13 @@ impl CacheHierarchy {
                 return stall;
             }
         }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.access_start(access_index, now);
+        }
         let line = a.addr.line();
         let ci = a.core.index();
         self.metrics.per_core[ci].accesses += 1;
         let outcome = self.cores[ci].access(line, a.is_instr, a.is_write, &mut self.notice_buf);
-        let mut forensic_refetch = None;
         let (breakdown, class) = match outcome {
             PrivLookup::L1Hit => {
                 self.drain_notices(a.core, now);
@@ -513,43 +490,22 @@ impl CacheHierarchy {
                 self.metrics.per_core[ci].l1_misses += 1;
                 self.metrics.per_core[ci].l2_misses += 1;
                 self.metrics.l2_energy_events += 1;
-                // A prior back-invalidation of this very line from this
-                // core's private caches makes this miss an inclusion-
-                // victim re-fetch: its whole latency is the inclusion
-                // cost the paper's Fig 2 describes.
-                let refetch = self
-                    .recorder
-                    .as_mut()
-                    .and_then(|r| r.latency_mut())
-                    .is_some_and(|l| l.take_victim(a.core, line));
-                // The forensics table mirrors the latency table entry for
-                // entry, but also remembers *who* instigated the
-                // victimization, closing the causal chain.
-                forensic_refetch = self
-                    .recorder
-                    .as_mut()
-                    .and_then(|r| r.forensics_mut())
-                    .and_then(|f| f.take_victim(a.core, line));
-                let (b, mut class) = self.llc_access(a, line, now, seq);
-                if refetch {
-                    class = AccessClass::InclusionVictimRefetch;
+                // A prior tear-out of this very line from this core's
+                // private caches makes this miss an inclusion-victim
+                // re-fetch: its whole latency is the inclusion cost the
+                // paper's Fig 2 describes.
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.private_miss(a.core, line);
                 }
+                let (b, class) = self.llc_access(a, line, now, seq);
                 self.issue_prefetches(a, line, now, seq);
                 (b, class)
             }
         };
         let lat = breakdown.total();
         self.metrics.access_latency_cycles += lat;
-        if let Some((instigator, chain_seq)) = forensic_refetch {
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.record_refetch(instigator, a.core, chain_seq, lat);
-            }
-        }
-        if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-            obs.record(a.core, class, &breakdown);
-        }
-        if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-            obs.record_access(a.core, line, class);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.access_done(a.core, line, class, &breakdown);
         }
         lat
     }
@@ -634,7 +590,6 @@ impl CacheHierarchy {
             let fill = self.llc.fill(line, &ctx, &self.dir, core, now);
             self.span_end(t0, ProfileSection::Replacement);
             self.metrics.llc_writes_energy_events += 1;
-            self.emit_event(EventKind::Fill, now, line, Some(core), Some(fill.loc));
             self.apply_fill_outcome(line, fill, core, now);
             let t0 = self.span_start();
             let _ = self.dram.access(line, now, false);
@@ -681,11 +636,8 @@ impl CacheHierarchy {
         };
         self.metrics.llc_accesses += 1;
         self.metrics.dir_energy_events += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            if let Some(hm) = rec.heatmap_mut() {
-                hm.accesses
-                    .inc(home.index(), self.cfg.llc.set_of(line) as usize);
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.llc_access(home, self.cfg.llc.set_of(line) as usize);
         }
 
         // Case 1: hit on a non-relocated block.
@@ -755,7 +707,6 @@ impl CacheHierarchy {
             self.span_end(t0, ProfileSection::Replacement);
             self.metrics.llc_writes_energy_events += 1;
             self.metrics.llc_demand_fills += 1;
-            self.emit_event(EventKind::Fill, now, line, Some(a.core), Some(fill.loc));
             self.apply_fill_outcome(line, fill, a.core, now);
             if owner_dirty {
                 self.llc.update_state(fill.loc, |s| s.dirty = true);
@@ -776,7 +727,6 @@ impl CacheHierarchy {
         self.span_end(t0, ProfileSection::Replacement);
         self.metrics.llc_writes_energy_events += 1;
         self.metrics.llc_demand_fills += 1;
-        self.emit_event(EventKind::Fill, now, line, Some(a.core), Some(fill.loc));
         self.apply_fill_outcome(line, fill, a.core, now);
         let t0 = self.span_start();
         let mem = self.dram.access(line, now + base, false);
@@ -863,31 +813,12 @@ impl CacheHierarchy {
     /// fill — the *instigator* any resulting inclusion victims are blamed
     /// on.
     fn apply_fill_outcome(&mut self, line: LineAddr, fill: FillOutcome, core: CoreId, now: Cycle) {
-        // Forensics: stamp the freshly allocated line with its
-        // provenance — which access filled it, and why its way was free.
-        if self.recorder.is_some() {
-            let idx = self.accesses_done.saturating_sub(1);
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.stamp_fill(
-                    line,
-                    ProvenanceStamp {
-                        access_index: idx,
-                        cycle: now,
-                        core,
-                        bank: fill.loc.bank.index() as u16,
-                        set: fill.loc.set,
-                        way: fill.loc.way,
-                        reason: fill.victim_reason,
-                    },
-                );
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.fill(line, core, &fill);
         }
         self.metrics.qbs_queries += fill.qbs_queries;
         if fill.sharp_alarm {
             self.metrics.sharp_alarms += 1;
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                obs.note_sharp_alarm();
-            }
         }
         if fill.in_set_alternate {
             self.metrics.in_set_alternate_victims += 1;
@@ -911,17 +842,8 @@ impl CacheHierarchy {
             }
             self.metrics.dir_energy_events += 1;
             self.dir.set_relocated(rel.moved_line, Some(rel.to));
-            if self.recorder.is_some() {
-                self.emit_event(
-                    EventKind::Relocation,
-                    now,
-                    rel.moved_line,
-                    None,
-                    Some(rel.to),
-                );
-                if let Some(hm) = self.recorder.as_mut().and_then(|r| r.heatmap_mut()) {
-                    hm.relocations.inc(rel.to.bank.index(), rel.to.set as usize);
-                }
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.relocation(rel.moved_line, rel.to);
             }
             if let Some(ev) = rel.evicted_from_rs {
                 debug_assert!(!self.dir.is_privately_cached(ev.line));
@@ -952,17 +874,17 @@ impl CacheHierarchy {
         if sharers.is_empty() {
             return;
         }
-        let event_loc = if self.recorder.is_some() {
-            self.llc.probe(line)
-        } else {
-            None
-        };
-        // Forensics: every sharer tear-out below is one chain victim —
-        // the note sites pair 1:1 with the `inclusion_victims` bumps, so
-        // the blame matrix conserves exactly.
-        let idx = self.accesses_done.saturating_sub(1);
-        if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-            f.open_chain(ChainKind::Eci, instigator, idx, now, line, reason);
+        // Every sharer tear-out below is one recorder victim — paired
+        // 1:1 with the `inclusion_victims` bumps, so the observatories
+        // conserve exactly.
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.tear_out_open(
+                ChainKind::Eci,
+                instigator,
+                line,
+                self.llc.probe(line),
+                reason,
+            );
         }
         let mut any_dirty = false;
         for s in sharers.iter() {
@@ -972,19 +894,12 @@ impl CacheHierarchy {
             self.metrics.inclusion_victims += 1;
             self.metrics.per_core[s.index()].inclusion_victims_suffered += 1;
             self.metrics.eci_early_invalidations += 1;
-            self.emit_event(EventKind::BackInvalidation, now, line, Some(s), event_loc);
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-                obs.note_back_invalidation(s, line);
-            }
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                obs.note_back_invalidation(s, line);
-            }
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.chain_victim(s);
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.tear_out_victim(s);
             }
         }
-        if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-            f.close_chain();
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.tear_out_close();
         }
         self.dir.free_line(line);
         if let Some(loc) = self.llc.probe(line) {
@@ -1010,11 +925,8 @@ impl CacheHierarchy {
         reason: VictimReason,
         now: Cycle,
     ) {
-        if self.recorder.is_some() {
-            self.emit_event(EventKind::Eviction, now, ev.line, None, Some(loc));
-            if let Some(hm) = self.recorder.as_mut().and_then(|r| r.heatmap_mut()) {
-                hm.evictions.inc(loc.bank.index(), loc.set as usize);
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.llc_eviction(ev.line, loc);
         }
         if ev.was_relocated {
             // Only the defensive ZIV fallback can evict a relocated
@@ -1057,14 +969,13 @@ impl CacheHierarchy {
                     self.fault = None;
                     return;
                 }
-                // Forensics: one causal chain per victimizing eviction,
-                // its victim notes paired 1:1 with the
-                // `inclusion_victims` bumps below (the conservation the
-                // tests pin). The fault path above returns before any
-                // bump, so a "lost" back-invalidation emits no chain.
-                let idx = self.accesses_done.saturating_sub(1);
-                if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                    f.open_chain(ChainKind::Inclusive, instigator, idx, now, ev.line, reason);
+                // One recorder tear-out per victimizing eviction, its
+                // victims paired 1:1 with the `inclusion_victims` bumps
+                // below (the conservation the tests pin). The fault path
+                // above returns before any bump, so a "lost"
+                // back-invalidation records nothing.
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.tear_out_open(ChainKind::Inclusive, instigator, ev.line, Some(loc), reason);
                 }
                 let mut any_dirty = ev.dirty;
                 for s in sharers.iter() {
@@ -1073,25 +984,12 @@ impl CacheHierarchy {
                     }
                     self.metrics.inclusion_victims += 1;
                     self.metrics.per_core[s.index()].inclusion_victims_suffered += 1;
-                    self.emit_event(
-                        EventKind::BackInvalidation,
-                        now,
-                        ev.line,
-                        Some(s),
-                        Some(loc),
-                    );
-                    if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-                        obs.note_back_invalidation(s, ev.line);
-                    }
-                    if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                        obs.note_back_invalidation(s, ev.line);
-                    }
-                    if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                        f.chain_victim(s);
+                    if let Some(rec) = self.recorder.as_deref_mut() {
+                        rec.tear_out_victim(s);
                     }
                 }
-                if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                    f.close_chain();
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.tear_out_close();
                 }
                 self.metrics.inclusion_victim_events += 1;
                 self.dir.free_line(ev.line);
@@ -1146,21 +1044,8 @@ impl CacheHierarchy {
     /// the tracked sharers; invalidate the relocated LLC block if the
     /// entry was tracking one (Section III-F).
     fn handle_dir_eviction(&mut self, ev: EvictedEntry, now: Cycle) {
-        if self.recorder.is_some() {
-            let bank = self.cfg.home_bank(ev.line);
-            let idx = self.accesses_done.saturating_sub(1);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(TraceEvent {
-                    kind: EventKind::DirectoryVictim,
-                    access_index: idx,
-                    cycle: now,
-                    line: ev.line.raw(),
-                    core: None,
-                    bank: Some(bank.index() as u16),
-                    set: None,
-                    way: None,
-                });
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.directory_victim(ev.line, self.cfg.home_bank(ev.line));
         }
         let mut any_dirty = false;
         for s in ev.state.sharers.iter() {

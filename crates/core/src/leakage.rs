@@ -17,8 +17,9 @@
 //!   latency-distinguishability side of the same channel;
 //! - **SHARP alarm counts**, the defense-side detector.
 //!
-//! Like the latency observatory it rides the [`FlightRecorder`]
-//! (`crate::observe::FlightRecorder`): never digested, never in the
+//! Like the latency observatory it rides the
+//! [`FlightRecorder`](crate::observe::FlightRecorder), whose hooks feed
+//! it: never digested, never in the
 //! result ledger, and conserving exactly against
 //! [`Metrics::inclusion_victims`](crate::Metrics) — the observatory's
 //! total back-invalidation count equals the aggregate metric, which the
@@ -26,6 +27,7 @@
 //! leakage, not approximately zero.
 
 use crate::latency::AccessClass;
+use crate::observe::flat_set;
 use ziv_common::{CoreId, LineAddr};
 
 /// Per-core leakage counters.
@@ -47,8 +49,8 @@ pub struct CoreLeakage {
 
 /// Counts attacker-observable events during a run. Constructed from an
 /// attack workload's [`AttackPlan`]-equivalent role lists by the
-/// driver; the hierarchy feeds it from the same emission sites as the
-/// event ring and the latency observatory.
+/// driver; the flight recorder's tear-out, fill and access-done hooks
+/// feed it.
 #[derive(Debug)]
 pub struct LeakageObservatory {
     banks: usize,
@@ -96,20 +98,14 @@ impl LeakageObservatory {
             }
         }
         for &line in probe_lines {
-            let flat = obs.flat_set(line);
-            obs.probed[flat] = true;
+            obs.probed[flat_set(line, banks, sets_per_bank)] = true;
         }
         obs
     }
 
-    /// The flat `(bank, set)` index of a raw line address — the same
-    /// mapping `LlcConfig::bank_of`/`set_of` use (bank bits low, set
-    /// bits above them).
     #[inline]
-    fn flat_set(&self, line: u64) -> usize {
-        let bank = (line as usize) & (self.banks - 1);
-        let set = ((line >> self.banks.trailing_zeros()) as usize) & (self.sets_per_bank - 1);
-        bank * self.sets_per_bank + set
+    fn is_probed(&self, line: LineAddr) -> bool {
+        self.probed[flat_set(line.raw(), self.banks, self.sets_per_bank)]
     }
 
     /// Records one inclusion-victim back-invalidation of `line` out of
@@ -118,15 +114,16 @@ impl LeakageObservatory {
     /// `Metrics::inclusion_victims`).
     #[inline]
     pub fn note_back_invalidation(&mut self, core: CoreId, line: LineAddr) {
-        let flat = self.flat_set(line.raw());
+        let probed = self.is_probed(line);
         let c = &mut self.per_core[core.index()];
         c.back_invalidations += 1;
-        if self.probed[flat] {
+        if probed {
             c.probed_back_invalidations += 1;
         }
     }
 
-    /// Records the service depth of one access. Only attacker-core
+    /// Records the service depth of one access (the class before any
+    /// inclusion-victim re-fetch reclassification). Only attacker-core
     /// accesses to *probed* sets accumulate (flusher and housekeeping
     /// traffic off the probed sets is the attacker's own, not a
     /// measurement). An access served from memory means the line was
@@ -137,8 +134,7 @@ impl LeakageObservatory {
         if !self.attacker[core.index()] {
             return;
         }
-        let flat = self.flat_set(line.raw());
-        if !self.probed[flat] {
+        if !self.is_probed(line) {
             return;
         }
         let c = &mut self.per_core[core.index()];

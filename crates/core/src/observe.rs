@@ -1,5 +1,6 @@
 //! The flight recorder: epoch-sliced time-series counters, a typed
-//! structured event trace, and per-bank/per-set occupancy heatmaps.
+//! structured event trace, per-bank/per-set occupancy heatmaps, and the
+//! one hook through which the hierarchy reports inclusion events.
 //!
 //! The paper's evaluation is temporal — inclusion-victim pressure, ZIV
 //! relocations, and directory back-invalidations all vary across program
@@ -20,19 +21,31 @@
 //!   leading up to the violation.
 //! * [`Heatmap`] — per-(bank, set) access/eviction/relocation counts
 //!   for spotting hot sets.
+//! * [`FlightRecorder`] — owns all of the above plus the latency,
+//!   leakage and forensics observatories. The hierarchy calls one hook
+//!   per inclusion site (LLC access, fill, relocation, LLC eviction,
+//!   tear-out open/victim/close, private-miss lookup, access done) and
+//!   the hook fans the event out to whichever captures are on.
+//! * [`VictimTable`] — the one per-core table of lines recently torn out
+//!   of a private hierarchy. A private miss takes from it once, and that
+//!   single answer drives both the latency observatory's re-fetch class
+//!   and the forensics observatory's re-fetch blame, so the two agree by
+//!   construction.
 //!
 //! Everything here is opt-in via [`ObserveConfig`]; with the default
 //! (disabled) config the hierarchy carries a `None` recorder and the
 //! hot path pays a single branch per potential event.
 
-use crate::forensics::{ForensicsObservatory, ForensicsReport};
-use crate::latency::{LatencyObservatory, LatencyReport};
+use crate::forensics::{ChainKind, ForensicsObservatory, ForensicsReport, ProvenanceStamp};
+use crate::latency::{AccessClass, LatencyBreakdown, LatencyObservatory, LatencyReport};
 use crate::leakage::{LeakageObservatory, LeakageReport};
+use crate::llc::{FillOutcome, VictimReason};
 use crate::metrics::{core_metrics_u64_fields, metrics_u64_fields, CoreMetrics, Metrics};
 use crate::profile::ProfileReport;
 use ziv_common::json::JsonValue;
 use ziv_common::stats::CountGrid;
-use ziv_common::{AuditViolation, Cycle, SimError};
+use ziv_common::{AuditViolation, BankId, CoreId, Cycle, LineAddr, SimError};
+use ziv_directory::LlcLocation;
 
 macro_rules! name_array {
     ($($f:ident),*) => { &[$(stringify!($f)),*] };
@@ -638,10 +651,115 @@ impl ObserveConfig {
     }
 }
 
+/// The flat `(bank, set)` index of a raw line address in a `banks ×
+/// sets_per_bank` LLC (both powers of two) — the same bank-bits-low,
+/// set-bits-above mapping `LlcConfig::bank_of`/`set_of` use. Shared by
+/// the leakage and forensics observatories.
+#[inline]
+pub(crate) fn flat_set(line: u64, banks: usize, sets_per_bank: usize) -> usize {
+    let bank = (line as usize) & (banks - 1);
+    let set = ((line >> banks.trailing_zeros()) as usize) & (sets_per_bank - 1);
+    bank * sets_per_bank + set
+}
+
+/// Slots in each core's [`VictimTable`]. Direct-mapped on the line
+/// address's low bits; a collision overwrites the older entry (the same
+/// bounded-memory spirit as the event ring), so re-fetch attribution is
+/// a floor, never an overcount: every access classified as a re-fetch
+/// really did lose its line to an inclusion victim.
+pub const VICTIM_TABLE_SLOTS: usize = 1024;
+
+/// One remembered tear-out: the line a core lost, the core whose fill
+/// caused it, and the forensics chain it belongs to (0 when forensics
+/// is off).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VictimEntry {
+    /// Raw address of the torn-out line (`u64::MAX` marks an empty slot).
+    pub line: u64,
+    /// The core whose fill instigated the tear-out.
+    pub instigator: CoreId,
+    /// Sequence number of the forensics chain that noted the victim.
+    pub chain_seq: u64,
+}
+
+const EMPTY_VICTIM: VictimEntry = VictimEntry {
+    line: u64::MAX,
+    instigator: CoreId::new(0),
+    chain_seq: 0,
+};
+
+/// Per-core direct-mapped tables of lines recently torn out of a core's
+/// private hierarchy by an inclusive LLC eviction or an ECI early
+/// invalidation. The recorder keeps one whenever latency attribution or
+/// forensics is on; a later private miss on the line
+/// [`take`](VictimTable::take)s the entry, so one tear-out explains at
+/// most one re-fetch.
+#[derive(Debug)]
+pub struct VictimTable {
+    slots: Vec<VictimEntry>,
+    noted: u64,
+}
+
+impl VictimTable {
+    /// Creates empty tables for `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        VictimTable {
+            slots: vec![EMPTY_VICTIM; cores * VICTIM_TABLE_SLOTS],
+            noted: 0,
+        }
+    }
+
+    #[inline]
+    fn slot(core: CoreId, line: LineAddr) -> usize {
+        core.index() * VICTIM_TABLE_SLOTS + (line.raw() as usize & (VICTIM_TABLE_SLOTS - 1))
+    }
+
+    /// Remembers that `core` just lost `line`, overwriting whatever
+    /// shared its slot.
+    #[inline]
+    pub fn note(&mut self, core: CoreId, line: LineAddr, instigator: CoreId, chain_seq: u64) {
+        self.slots[Self::slot(core, line)] = VictimEntry {
+            line: line.raw(),
+            instigator,
+            chain_seq,
+        };
+        self.noted += 1;
+    }
+
+    /// The entry recording that `core` lost `line`, if it is still in
+    /// the table; clears it.
+    #[inline]
+    pub fn take(&mut self, core: CoreId, line: LineAddr) -> Option<VictimEntry> {
+        let entry = &mut self.slots[Self::slot(core, line)];
+        (entry.line == line.raw()).then(|| std::mem::replace(entry, EMPTY_VICTIM))
+    }
+
+    /// Tear-outs noted so far (collisions overwrite, so this can exceed
+    /// the re-fetches ever taken).
+    pub fn noted(&self) -> u64 {
+        self.noted
+    }
+}
+
+/// The tear-out between [`FlightRecorder::tear_out_open`] and
+/// [`FlightRecorder::tear_out_close`].
+#[derive(Debug, Clone, Copy)]
+struct TearOut {
+    instigator: CoreId,
+    line: LineAddr,
+    loc: Option<LlcLocation>,
+}
+
 /// The in-flight recorder attached to a
-/// [`CacheHierarchy`](crate::CacheHierarchy): an event ring and/or
-/// heatmap grids. Constructed only when enabled, so the disabled-mode
-/// hierarchy carries `None` and pays one branch per emission site.
+/// [`CacheHierarchy`](crate::CacheHierarchy): the event ring, heatmap
+/// grids, the latency, leakage and forensics observatories, and the
+/// victim table they share. Constructed only when enabled, so the
+/// disabled-mode hierarchy carries `None` and pays one branch per
+/// emission site.
+///
+/// The hierarchy reports each inclusion site through one hook method;
+/// every hook fans the event out to whichever captures are on, so the
+/// hierarchy never names an observatory.
 #[derive(Debug)]
 pub struct FlightRecorder {
     filter: EventFilter,
@@ -650,12 +768,36 @@ pub struct FlightRecorder {
     latency: Option<LatencyObservatory>,
     leakage: Option<LeakageObservatory>,
     forensics: Option<ForensicsObservatory>,
+    victims: Option<VictimTable>,
+    /// Index and start cycle of the access in flight.
+    access_index: u64,
+    now: Cycle,
+    tear_out: Option<TearOut>,
+    /// The victim-table entry the in-flight private miss re-fetches.
+    refetch: Option<VictimEntry>,
+}
+
+/// Everything a drained [`FlightRecorder`] captured.
+#[derive(Debug, Default)]
+pub struct Recording {
+    /// Retained trailing events, oldest first.
+    pub events: Vec<TraceEvent>,
+    /// Total events recorded, including ones the ring overwrote.
+    pub events_recorded: u64,
+    /// Occupancy heatmaps, when enabled.
+    pub heatmap: Option<Heatmap>,
+    /// The latency attribution report, when enabled.
+    pub latency: Option<LatencyReport>,
+    /// The leakage report, when an observatory was attached.
+    pub leakage: Option<LeakageReport>,
+    /// The forensics report, when enabled.
+    pub forensics: Option<ForensicsReport>,
 }
 
 impl FlightRecorder {
     /// Builds a recorder per `cfg` for a `cores`-core system with a
     /// `banks × sets` LLC; `None` when `cfg` requests no recorder-side
-    /// capture (events, heatmaps, or latency attribution).
+    /// capture (events, heatmaps, latency, leakage, or forensics).
     pub fn new(
         cfg: &ObserveConfig,
         cores: usize,
@@ -677,6 +819,11 @@ impl FlightRecorder {
             forensics: cfg
                 .forensics
                 .then(|| ForensicsObservatory::new(cores, banks, sets)),
+            victims: (cfg.latency || cfg.forensics).then(|| VictimTable::new(cores)),
+            access_index: 0,
+            now: 0,
+            tear_out: None,
+            refetch: None,
         }))
     }
 
@@ -689,12 +836,33 @@ impl FlightRecorder {
     /// Records `ev` if event tracing is on and the filter keeps its
     /// kind.
     #[inline]
-    pub fn record(&mut self, ev: TraceEvent) {
+    fn record(&mut self, ev: TraceEvent) {
         if self.filter.contains(ev.kind) {
             if let Some(ring) = &mut self.events {
                 ring.push(ev);
             }
         }
+    }
+
+    /// Records one event of the access in flight.
+    #[inline]
+    fn emit(
+        &mut self,
+        kind: EventKind,
+        line: LineAddr,
+        core: Option<CoreId>,
+        loc: Option<LlcLocation>,
+    ) {
+        self.record(TraceEvent {
+            kind,
+            access_index: self.access_index,
+            cycle: self.now,
+            line: line.raw(),
+            core: core.map(|c| c.index() as u16),
+            bank: loc.map(|l| l.bank.index() as u16),
+            set: loc.map(|l| l.set),
+            way: loc.map(|l| l.way),
+        });
     }
 
     /// Records the auditor's verdict as a trace event.
@@ -711,56 +879,185 @@ impl FlightRecorder {
         });
     }
 
-    /// The heatmap grids, when enabled.
+    /// A demand access with 0-based index `index` starts at cycle `now`;
+    /// every event until the next call is stamped with both.
     #[inline]
-    pub fn heatmap_mut(&mut self) -> Option<&mut Heatmap> {
-        self.heatmap.as_mut()
+    pub fn access_start(&mut self, index: u64, now: Cycle) {
+        self.access_index = index;
+        self.now = now;
     }
 
-    /// The latency observatory, when enabled.
+    /// A private miss looks up the LLC home set `(bank, set)`.
     #[inline]
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_mut()
+    pub fn llc_access(&mut self, bank: BankId, set: usize) {
+        if let Some(hm) = &mut self.heatmap {
+            hm.accesses.inc(bank.index(), set);
+        }
     }
 
-    /// The leakage observatory, when attached.
+    /// `core`'s access filled `line` into the LLC per `fill`: the fill
+    /// event, the forensics provenance stamp, and any SHARP alarm.
     #[inline]
-    pub fn leakage_mut(&mut self) -> Option<&mut LeakageObservatory> {
-        self.leakage.as_mut()
+    pub fn fill(&mut self, line: LineAddr, core: CoreId, fill: &FillOutcome) {
+        self.emit(EventKind::Fill, line, Some(core), Some(fill.loc));
+        if let Some(f) = &mut self.forensics {
+            f.stamp_fill(
+                line,
+                ProvenanceStamp {
+                    access_index: self.access_index,
+                    cycle: self.now,
+                    core,
+                    bank: fill.loc.bank.index() as u16,
+                    set: fill.loc.set,
+                    way: fill.loc.way,
+                    reason: fill.victim_reason,
+                },
+            );
+        }
+        if fill.sharp_alarm {
+            if let Some(l) = &mut self.leakage {
+                l.note_sharp_alarm();
+            }
+        }
     }
 
-    /// The forensics observatory, when enabled.
+    /// ZIV relocated `line` into `to`.
     #[inline]
-    pub fn forensics_mut(&mut self) -> Option<&mut ForensicsObservatory> {
-        self.forensics.as_mut()
+    pub fn relocation(&mut self, line: LineAddr, to: LlcLocation) {
+        self.emit(EventKind::Relocation, line, None, Some(to));
+        if let Some(hm) = &mut self.heatmap {
+            hm.relocations.inc(to.bank.index(), to.set as usize);
+        }
     }
 
-    /// Drains the recorder into its final observation payload:
-    /// `(events oldest-first, total events recorded, heatmap, latency,
-    /// leakage, forensics)`.
-    #[allow(clippy::type_complexity)]
-    pub fn finish(
-        self,
-    ) -> (
-        Vec<TraceEvent>,
-        u64,
-        Option<Heatmap>,
-        Option<LatencyReport>,
-        Option<LeakageReport>,
-        Option<ForensicsReport>,
+    /// `line` left the LLC from `loc`.
+    #[inline]
+    pub fn llc_eviction(&mut self, line: LineAddr, loc: LlcLocation) {
+        self.emit(EventKind::Eviction, line, None, Some(loc));
+        if let Some(hm) = &mut self.heatmap {
+            hm.evictions.inc(loc.bank.index(), loc.set as usize);
+        }
+    }
+
+    /// A sparse-directory entry for `line`, homed at `bank`, was evicted.
+    pub fn directory_victim(&mut self, line: LineAddr, bank: BankId) {
+        self.record(TraceEvent {
+            kind: EventKind::DirectoryVictim,
+            access_index: self.access_index,
+            cycle: self.now,
+            line: line.raw(),
+            core: None,
+            bank: Some(bank.index() as u16),
+            set: None,
+            way: None,
+        });
+    }
+
+    /// Opens a tear-out: `instigator`'s fill (victim choice `reason`) is
+    /// about to invalidate the private copies of `line`, which sits at
+    /// `loc` in the LLC. [`tear_out_victim`](Self::tear_out_victim)
+    /// follows once per sharer, then
+    /// [`tear_out_close`](Self::tear_out_close).
+    pub fn tear_out_open(
+        &mut self,
+        kind: ChainKind,
+        instigator: CoreId,
+        line: LineAddr,
+        loc: Option<LlcLocation>,
+        reason: VictimReason,
     ) {
-        let (events, recorded) = match &self.events {
+        debug_assert!(self.tear_out.is_none(), "tear-outs never nest");
+        self.tear_out = Some(TearOut {
+            instigator,
+            line,
+            loc,
+        });
+        if let Some(f) = &mut self.forensics {
+            f.open_chain(kind, instigator, self.access_index, self.now, line, reason);
+        }
+    }
+
+    /// `core` lost its private copy of the open tear-out's line — one
+    /// inclusion victim. Called exactly where the hierarchy bumps
+    /// `Metrics::inclusion_victims`, which is what makes the leakage and
+    /// forensics victim totals conserve against it.
+    #[inline]
+    pub fn tear_out_victim(&mut self, core: CoreId) {
+        let t = self
+            .tear_out
+            .expect("tear_out_victim outside an open tear-out");
+        self.emit(EventKind::BackInvalidation, t.line, Some(core), t.loc);
+        let chain_seq = self.forensics.as_mut().map_or(0, |f| f.chain_victim(core));
+        if let Some(table) = &mut self.victims {
+            table.note(core, t.line, t.instigator, chain_seq);
+        }
+        if let Some(l) = &mut self.leakage {
+            l.note_back_invalidation(core, t.line);
+        }
+    }
+
+    /// Closes the open tear-out.
+    pub fn tear_out_close(&mut self) {
+        self.tear_out = None;
+        if let Some(f) = &mut self.forensics {
+            f.close_chain();
+        }
+    }
+
+    /// `core` missed its private hierarchy on `line`: takes the victim
+    /// table entry this miss re-fetches, if any, for
+    /// [`access_done`](Self::access_done). Must precede the LLC stage,
+    /// whose tear-outs may overwrite the slot.
+    #[inline]
+    pub fn private_miss(&mut self, core: CoreId, line: LineAddr) {
+        self.refetch = self.victims.as_mut().and_then(|t| t.take(core, line));
+    }
+
+    /// `core`'s access to `line` finished, served at depth `class` with
+    /// latency `b`. A re-fetch found by [`private_miss`](Self::private_miss)
+    /// is attributed as [`AccessClass::InclusionVictimRefetch`] by the
+    /// latency observatory and blamed on its chain by forensics; the
+    /// leakage observatory keeps the service depth.
+    #[inline]
+    pub fn access_done(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        class: AccessClass,
+        b: &LatencyBreakdown,
+    ) {
+        let refetch = self.refetch.take();
+        if let Some(lat) = &mut self.latency {
+            let class = if refetch.is_some() {
+                AccessClass::InclusionVictimRefetch
+            } else {
+                class
+            };
+            lat.record(core, class, b);
+        }
+        if let (Some(f), Some(v)) = (&mut self.forensics, refetch) {
+            f.record_refetch(v.instigator, core, v.chain_seq, b.total());
+        }
+        if let Some(l) = &mut self.leakage {
+            l.record_access(core, line, class);
+        }
+    }
+
+    /// Drains the recorder into its final observation payload.
+    pub fn finish(self) -> Recording {
+        let (events, events_recorded) = match &self.events {
             Some(ring) => (ring.ordered(), ring.recorded()),
             None => (Vec::new(), 0),
         };
-        (
+        let victims_noted = self.victims.as_ref().map_or(0, VictimTable::noted);
+        Recording {
             events,
-            recorded,
-            self.heatmap,
-            self.latency.map(LatencyObservatory::finish),
-            self.leakage.map(LeakageObservatory::finish),
-            self.forensics.map(ForensicsObservatory::finish),
-        )
+            events_recorded,
+            heatmap: self.heatmap,
+            latency: self.latency.map(|l| l.finish(victims_noted)),
+            leakage: self.leakage.map(LeakageObservatory::finish),
+            forensics: self.forensics.map(ForensicsObservatory::finish),
+        }
     }
 }
 
@@ -1042,16 +1339,15 @@ mod tests {
         let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
         rec.record(ev(EventKind::Fill, 0));
         rec.record(ev(EventKind::Eviction, 1));
-        assert!(rec.heatmap_mut().is_none());
-        assert!(rec.latency_mut().is_none());
-        let (events, recorded, heatmap, latency, leakage, forensics) = rec.finish();
-        assert_eq!(recorded, 1);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::Eviction);
-        assert!(heatmap.is_none());
-        assert!(latency.is_none());
-        assert!(leakage.is_none());
-        assert!(forensics.is_none());
+        assert!(rec.heatmap.is_none() && rec.latency.is_none() && rec.victims.is_none());
+        let out = rec.finish();
+        assert_eq!(out.events_recorded, 1);
+        assert_eq!(out.events.len(), 1);
+        assert_eq!(out.events[0].kind, EventKind::Eviction);
+        assert!(out.heatmap.is_none());
+        assert!(out.latency.is_none());
+        assert!(out.leakage.is_none());
+        assert!(out.forensics.is_none());
         assert!(FlightRecorder::new(&ObserveConfig::disabled(), 2, 4, 16).is_none());
     }
 
@@ -1092,75 +1388,174 @@ mod tests {
     }
 
     #[test]
-    fn forensics_observatory_rides_the_recorder() {
-        use crate::forensics::ChainKind;
-        use crate::llc::VictimReason;
-        use ziv_common::CoreId;
+    fn victim_table_slots_overwrite_and_clear_on_take() {
+        let mut t = VictimTable::new(2);
+        let c0 = CoreId::new(0);
+        let c1 = CoreId::new(1);
+        let a = LineAddr::new(0x7);
+        let b = LineAddr::new(0x7 + VICTIM_TABLE_SLOTS as u64); // same slot as `a`
+        assert!(t.take(c0, a).is_none(), "nothing noted yet");
+        t.note(c0, a, c1, 3);
+        assert!(t.take(c1, a).is_none(), "tables are per-core");
+        let hit = t.take(c0, a).expect("a remembered");
+        assert_eq!((hit.line, hit.instigator, hit.chain_seq), (a.raw(), c1, 3));
+        assert!(t.take(c0, a).is_none(), "taking clears the entry");
+        t.note(c0, a, c1, 4);
+        t.note(c0, b, c1, 5); // evicts `a`
+        assert!(t.take(c0, a).is_none(), "older colliding entry forgotten");
+        assert_eq!(t.take(c0, b).map(|e| e.chain_seq), Some(5));
+        assert_eq!(t.noted(), 3);
+    }
+
+    /// Drives one inclusive tear-out of `line` out of core 1 (instigated
+    /// by core 0), then core 1's re-fetching miss on it, served by the
+    /// LLC in `lat` cycles.
+    fn tear_out_then_refetch(rec: &mut FlightRecorder, line: LineAddr, lat: Cycle) {
+        use ziv_common::BankId;
+        let loc = LlcLocation {
+            bank: BankId::new(1),
+            set: 3,
+            way: 2,
+        };
+        rec.access_start(7, 70);
+        rec.tear_out_open(
+            ChainKind::Inclusive,
+            CoreId::new(0),
+            line,
+            Some(loc),
+            VictimReason::Baseline,
+        );
+        rec.tear_out_victim(CoreId::new(1));
+        rec.tear_out_close();
+        rec.access_start(8, 90);
+        rec.private_miss(CoreId::new(1), line);
+        let b = LatencyBreakdown {
+            llc_data: lat,
+            ..LatencyBreakdown::default()
+        };
+        rec.access_done(CoreId::new(1), line, AccessClass::LlcHit, &b);
+    }
+
+    #[test]
+    fn one_victim_lookup_drives_latency_and_forensics() {
         let cfg = ObserveConfig {
+            events: Some(EventTraceConfig::default()),
+            latency: true,
             forensics: true,
             ..ObserveConfig::disabled()
         };
         let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        let f = rec.forensics_mut().expect("forensics observatory attached");
-        f.open_chain(
-            ChainKind::Inclusive,
-            CoreId::new(0),
-            7,
-            70,
-            ziv_common::LineAddr::new(0x40),
-            VictimReason::Baseline,
+        tear_out_then_refetch(&mut rec, LineAddr::new(0x55), 40);
+        let out = rec.finish();
+        let lat = out.latency.expect("latency report produced");
+        let f = out.forensics.expect("forensics report produced");
+        assert_eq!(lat.victims_noted, 1);
+        assert_eq!(
+            lat.class_total(AccessClass::InclusionVictimRefetch).count,
+            1
         );
-        f.chain_victim(CoreId::new(1));
-        f.close_chain();
-        let (_, _, _, _, _, forensics) = rec.finish();
-        let report = forensics.expect("forensics report produced");
-        assert_eq!(report.total_victims(), 1);
-        assert_eq!(report.chains_recorded, 1);
+        assert_eq!(lat.class_total(AccessClass::LlcHit).count, 0);
+        assert_eq!(f.total_victims(), 1);
+        assert_eq!(f.refetches(0, 1), 1);
+        assert_eq!(
+            f.total_refetch_cycles(),
+            lat.inclusion_victim_refetch_cycles()
+        );
+        assert_eq!(f.chains[0].refetch_cycles, 40);
+        let back_inval = out
+            .events
+            .iter()
+            .find(|e| e.kind == EventKind::BackInvalidation)
+            .expect("tear-out victim traced");
+        assert_eq!(
+            (back_inval.access_index, back_inval.cycle, back_inval.core),
+            (7, 70, Some(1))
+        );
+        assert_eq!(
+            (back_inval.bank, back_inval.set, back_inval.way),
+            (Some(1), Some(3), Some(2))
+        );
     }
 
     #[test]
-    fn leakage_observatory_rides_the_recorder() {
+    fn leakage_keeps_the_service_depth_of_a_refetch() {
         use crate::leakage::LeakageObservatory;
-        use ziv_common::CoreId;
-        let cfg = ObserveConfig {
-            leakage: true,
-            ..ObserveConfig::disabled()
-        };
-        let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        // The recorder exists but carries no observatory until the
-        // driver attaches one (it needs the workload's attack roles).
-        assert!(rec.leakage_mut().is_none());
-        rec.attach_leakage(LeakageObservatory::new(2, 4, 16, &[0], &[1], &[3]));
-        rec.leakage_mut()
-            .unwrap()
-            .note_back_invalidation(CoreId::new(1), ziv_common::Addr::new(3 << 6).line());
-        let (_, _, _, _, leakage, _) = rec.finish();
-        let report = leakage.expect("leakage report produced");
-        assert_eq!(report.observable_victim_evictions(), 1);
-        assert_eq!(report.total_back_invalidations(), 1);
+        let line = LineAddr::new(3);
+        for latency in [false, true] {
+            let cfg = ObserveConfig {
+                leakage: true,
+                latency,
+                ..ObserveConfig::disabled()
+            };
+            let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
+            // The recorder carries no leakage observatory until the
+            // driver attaches one (it needs the workload's attack roles).
+            assert!(rec.leakage.is_none());
+            // Core 1 is both victim and attacker, so its re-fetch is a
+            // probe of the probed set line 3 homes at.
+            rec.attach_leakage(LeakageObservatory::new(2, 4, 16, &[1], &[1], &[3]));
+            tear_out_then_refetch(&mut rec, line, 40);
+            let report = rec.finish().leakage.expect("leakage report produced");
+            assert_eq!(report.observable_victim_evictions(), 1);
+            assert_eq!(report.total_back_invalidations(), 1);
+            assert_eq!(report.probe_hits(), 1, "latency={latency}");
+            assert_eq!(report.probe_evictions_seen(), 0, "latency={latency}");
+        }
     }
 
     #[test]
-    fn latency_observatory_rides_the_recorder() {
-        use crate::latency::{AccessClass, LatencyBreakdown};
-        use ziv_common::CoreId;
+    fn fill_relocation_and_eviction_hooks_feed_events_and_heatmap() {
+        use crate::llc::FillOutcome;
+        use ziv_common::BankId;
         let cfg = ObserveConfig {
-            latency: true,
+            events: Some(EventTraceConfig::default()),
+            heatmap: true,
+            forensics: true,
             ..ObserveConfig::disabled()
         };
         let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        let lat = rec.latency_mut().expect("latency observatory attached");
-        lat.record(
-            CoreId::new(0),
-            AccessClass::L1Hit,
-            &LatencyBreakdown {
-                l1: 3,
-                ..LatencyBreakdown::default()
-            },
+        let loc = LlcLocation {
+            bank: BankId::new(2),
+            set: 5,
+            way: 1,
+        };
+        let fill = FillOutcome {
+            loc,
+            evicted: None,
+            relocation: None,
+            qbs_queries: 0,
+            sharp_alarm: false,
+            in_set_alternate: false,
+            ziv_fallback: false,
+            likely_dead_pv_empty: false,
+            eci_candidate: None,
+            victim_reason: VictimReason::Baseline,
+        };
+        rec.access_start(4, 40);
+        rec.llc_access(BankId::new(2), 5);
+        rec.fill(LineAddr::new(0x99), CoreId::new(1), &fill);
+        rec.relocation(LineAddr::new(0x98), loc);
+        rec.llc_eviction(LineAddr::new(0x97), loc);
+        rec.directory_victim(LineAddr::new(0x96), BankId::new(3));
+        let out = rec.finish();
+        let kinds: Vec<EventKind> = out.events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Fill,
+                EventKind::Relocation,
+                EventKind::Eviction,
+                EventKind::DirectoryVictim
+            ]
         );
-        let (_, _, _, report, _, _) = rec.finish();
-        let report = report.expect("latency report produced");
-        assert_eq!(report.total_cycles(), 3);
-        assert_eq!(report.class_total(AccessClass::L1Hit).count, 1);
+        assert!(out
+            .events
+            .iter()
+            .all(|e| e.access_index == 4 && e.cycle == 40));
+        let hm = out.heatmap.expect("heatmap produced");
+        assert_eq!(hm.accesses.get(2, 5), 1);
+        assert_eq!(hm.relocations.get(2, 5), 1);
+        assert_eq!(hm.evictions.get(2, 5), 1);
+        assert_eq!(out.forensics.expect("forensics report").fills_stamped, 1);
     }
 }

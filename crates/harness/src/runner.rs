@@ -15,12 +15,11 @@ use ziv_common::json::JsonValue;
 use ziv_common::{RetryPolicy, SimError};
 use ziv_core::AuditCadence;
 use ziv_sim::{
-    run_one_sampled_instrumented, run_one_traced, speedup_summary, write_blame_csv, write_grid_csv,
-    write_heatmap_csv, write_latency_csv, write_leakage_csv, write_perfetto_json,
-    write_sampling_csv, write_summary_csv, write_timeseries_csv, write_validation_csv, CellBudget,
-    EventFilter, EventTraceConfig, GridResult, Observations, ObserveConfig, ObservedCell,
-    ProfileReport, RunOptions, RunResult, RunSpec, SampledCell, SampledRun, SamplingPlan,
-    TelemetryProbe, TraceEvent, ValidationRow,
+    blame_to_csv, grid_to_csv, heatmap_to_csv, latency_to_csv, leakage_to_csv, perfetto_to_json,
+    run_one_sampled_instrumented, run_one_traced, sampling_to_csv, speedup_summary, summary_to_csv,
+    timeseries_to_csv, validation_to_csv, write_export, CellBudget, EventFilter, EventTraceConfig,
+    GridResult, Observations, ObserveConfig, ObservedCell, ProfileReport, RunOptions, RunResult,
+    RunSpec, SampledCell, SampledRun, SamplingPlan, TelemetryProbe, TraceEvent, ValidationRow,
 };
 use ziv_workloads::Workload;
 
@@ -523,10 +522,12 @@ pub fn run_campaign(
     };
 
     let grid_csv = cfg.results_dir.join("grid.csv");
-    write_grid_csv(&grid_csv, &grid)?;
+    write_export(&grid_csv, "grid CSV", |w| grid_to_csv(&grid, w))?;
     let summary_csv = cfg.results_dir.join("summary.csv");
     let rows = speedup_summary(&grid, campaign.specs.len(), campaign.baseline_spec);
-    write_summary_csv(&summary_csv, &rows, "weighted_speedup")?;
+    write_export(&summary_csv, "summary CSV", |w| {
+        summary_to_csv(&rows, "weighted_speedup", w)
+    })?;
 
     // Flight-recorder exports live next to the grid CSVs. They are
     // written whenever the corresponding capture was enabled — even
@@ -561,22 +562,22 @@ pub fn run_campaign(
             .collect();
         if cfg.observe.epoch.is_some() {
             let path = cfg.results_dir.join("timeseries.csv");
-            write_timeseries_csv(&path, &cells)?;
+            write_export(&path, "timeseries CSV", |w| timeseries_to_csv(&cells, w))?;
             timeseries_csv = Some(path);
         }
         if cfg.observe.heatmap {
             let path = cfg.results_dir.join("heatmap.csv");
-            write_heatmap_csv(&path, &cells)?;
+            write_export(&path, "heatmap CSV", |w| heatmap_to_csv(&cells, w))?;
             heatmap_csv = Some(path);
         }
         if cfg.observe.latency {
             let path = cfg.results_dir.join("latency.csv");
-            write_latency_csv(&path, &cells)?;
+            write_export(&path, "latency CSV", |w| latency_to_csv(&cells, w))?;
             latency_csv = Some(path);
         }
         if cfg.observe.leakage {
             let path = cfg.results_dir.join("leakage.csv");
-            write_leakage_csv(&path, &cells)?;
+            write_export(&path, "leakage CSV", |w| leakage_to_csv(&cells, w))?;
             leakage_csv = Some(path);
         }
         if cfg.observe.profile {
@@ -586,7 +587,7 @@ pub fn run_campaign(
         }
         if cfg.observe.forensics {
             let path = cfg.results_dir.join("blame.csv");
-            write_blame_csv(&path, &cells)?;
+            write_export(&path, "blame CSV", |w| blame_to_csv(&cells, w))?;
             blame_csv = Some(path);
         }
         if cfg.perfetto {
@@ -596,7 +597,9 @@ pub fn run_campaign(
                 .map(|e| e.filter)
                 .unwrap_or_else(EventFilter::all);
             let path = cfg.results_dir.join("trace.json");
-            write_perfetto_json(&path, &cells, filter)?;
+            write_export(&path, "perfetto trace", |w| {
+                writeln!(w, "{}", perfetto_to_json(&cells, filter))
+            })?;
             trace_json = Some(path);
         }
     }
@@ -841,7 +844,9 @@ pub fn run_campaign_sampled(
             sampled: &c.sampled,
         })
         .collect();
-    write_sampling_csv(&sampling_csv, &export)?;
+    write_export(&sampling_csv, "sampling CSV", |w| {
+        sampling_to_csv(&export, w)
+    })?;
 
     let validation = match full {
         None => None,
@@ -870,7 +875,9 @@ pub fn run_campaign_sampled(
                 });
             }
             let validation_csv = cfg.results_dir.join("validation.csv");
-            write_validation_csv(&validation_csv, &rows)?;
+            write_export(&validation_csv, "validation CSV", |w| {
+                validation_to_csv(&rows, w)
+            })?;
             let (full_ms, sampled_ms) = rows
                 .iter()
                 .filter(|r| r.full_ms > 0.0 && r.sampled_ms > 0.0)

@@ -377,6 +377,7 @@ pub fn run_cells_supervised(
         }
         for (slot, probe) in slots.iter().zip(worker_probes.iter()) {
             scope.spawn(|| {
+                let _retire = Retire(&active);
                 let probe = *probe;
                 loop {
                     if aborted.load(Ordering::Relaxed) || observer.should_abort() {
@@ -439,7 +440,6 @@ pub fn run_cells_supervised(
                         attempts,
                     });
                 }
-                active.fetch_sub(1, Ordering::Release);
             });
         }
     });
@@ -447,6 +447,18 @@ pub fn run_cells_supervised(
     let mut out = results.into_inner().unwrap();
     out.sort_by_key(|g| (g.spec_index, g.workload_index));
     out
+}
+
+/// Counts a pool worker out when it retires — also when it unwinds (a
+/// panicking observer callback), so the watchdog, which runs until every
+/// worker has retired, never outlives a dead worker and `thread::scope`
+/// can join and re-raise the panic instead of hanging.
+struct Retire<'a>(&'a AtomicUsize);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// Runs every `spec × workload` combination on the pool, unsupervised
@@ -581,6 +593,33 @@ mod tests {
             assert_eq!(x.result.metrics.llc_misses, y.result.metrics.llc_misses);
             assert_eq!(x.result.cores[0].cycles, y.result.cores[0].cycles);
         }
+    }
+
+    #[test]
+    fn panicking_observer_fails_the_watched_pool_instead_of_hanging() {
+        struct Boom;
+        impl SuperviseObserver for Boom {
+            fn cell_started(&self, _s: usize, _w: usize) {
+                panic!("observer failed");
+            }
+        }
+        let sup = SuperviseConfig {
+            cell_timeout: Some(Duration::from_secs(60)),
+            ..SuperviseConfig::unsupervised()
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_cells_supervised(
+                &specs(),
+                &workloads(),
+                &[(0, 0)],
+                1,
+                &RunOptions::default(),
+                &sup,
+                &Boom,
+                None,
+            )
+        }));
+        assert!(outcome.is_err(), "the observer's panic reaches the caller");
     }
 
     fn transient() -> SimError {

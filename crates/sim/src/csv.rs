@@ -33,6 +33,28 @@ use ziv_common::SimError;
 use ziv_core::latency::AccessClass;
 use ziv_core::observe::{Observations, CORE_METRICS_COLUMNS, METRICS_COLUMNS};
 
+/// Creates `path` (and any missing parent directories), writes it
+/// through `body`, and flushes it. This is how every export reaches
+/// disk, e.g. `write_export(&path, "latency CSV", |w| latency_to_csv(&cells, w))`.
+///
+/// # Errors
+///
+/// Returns [`SimError::Io`] naming `path` and the failing step:
+/// `"create <label>"`, `"write <label>"` or `"flush <label>"`.
+pub fn write_export(
+    path: &Path,
+    label: &str,
+    body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), SimError> {
+    create_parent_dirs(path)?;
+    let file = std::fs::File::create(path)
+        .map_err(|e| SimError::io(format!("create {label}"), path, e))?;
+    let mut w = std::io::BufWriter::new(file);
+    body(&mut w).map_err(|e| SimError::io(format!("write {label}"), path, e))?;
+    w.flush()
+        .map_err(|e| SimError::io(format!("flush {label}"), path, e))
+}
+
 /// Escapes a CSV field (quotes fields containing commas or quotes).
 fn esc(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
@@ -467,101 +489,6 @@ pub fn heatmap_to_csv<W: Write>(cells: &[ObservedCell<'_>], mut out: W) -> std::
     Ok(())
 }
 
-/// Writes the epoch time-series CSV to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_timeseries_csv(path: &Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create timeseries CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    timeseries_to_csv(cells, &mut w).map_err(|e| SimError::io("write timeseries CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush timeseries CSV", path, e))
-}
-
-/// Writes the heatmap CSV to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_heatmap_csv(path: &Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create heatmap CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    heatmap_to_csv(cells, &mut w).map_err(|e| SimError::io("write heatmap CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush heatmap CSV", path, e))
-}
-
-/// Writes the latency attribution CSV to `path`, creating missing
-/// parent directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_latency_csv(path: &Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create latency CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    latency_to_csv(cells, &mut w).map_err(|e| SimError::io("write latency CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush latency CSV", path, e))
-}
-
-/// Writes the leakage summary CSV to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_leakage_csv(path: &Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create leakage CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    leakage_to_csv(cells, &mut w).map_err(|e| SimError::io("write leakage CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush leakage CSV", path, e))
-}
-
-/// Writes the blame matrix CSV to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_blame_csv(path: &Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create blame CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    blame_to_csv(cells, &mut w).map_err(|e| SimError::io("write blame CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush blame CSV", path, e))
-}
-
-/// Writes the grid CSV to `path`, with the file path attached to any
-/// failure (create or write) as a [`SimError::Io`].
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_grid_csv(path: &Path, grid: &[GridResult]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file = std::fs::File::create(path).map_err(|e| SimError::io("create grid CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    grid_to_csv(grid, &mut w).map_err(|e| SimError::io("write grid CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush grid CSV", path, e))
-}
-
 /// One sampled cell ready for [`sampling_to_csv`]: the `(config,
 /// workload)` naming plus the sampled run whose intervals it exports.
 #[derive(Debug)]
@@ -645,22 +572,6 @@ pub fn sampling_to_csv<W: Write>(cells: &[SampledCell<'_>], mut out: W) -> std::
         }
     }
     Ok(())
-}
-
-/// Writes the per-interval sampling CSV to `path`, creating missing
-/// parent directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_sampling_csv(path: &Path, cells: &[SampledCell<'_>]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create sampling CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    sampling_to_csv(cells, &mut w).map_err(|e| SimError::io("write sampling CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush sampling CSV", path, e))
 }
 
 /// One row of the sampled-vs-full validation report.
@@ -769,42 +680,6 @@ pub fn validation_to_csv<W: Write>(rows: &[ValidationRow], mut out: W) -> std::i
     Ok(())
 }
 
-/// Writes the validation CSV to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_validation_csv(path: &Path, rows: &[ValidationRow]) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create validation CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    validation_to_csv(rows, &mut w).map_err(|e| SimError::io("write validation CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush validation CSV", path, e))
-}
-
-/// Writes the summary CSV to `path`, with the file path attached to any
-/// failure as a [`SimError::Io`].
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_summary_csv(
-    path: &Path,
-    rows: &NormalizedRows,
-    value_name: &str,
-) -> Result<(), SimError> {
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create summary CSV", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    summary_to_csv(rows, value_name, &mut w)
-        .map_err(|e| SimError::io("write summary CSV", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush summary CSV", path, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,6 +738,21 @@ mod tests {
             text.contains("1.000000"),
             "baseline speedup is exactly 1: {text}"
         );
+    }
+
+    #[test]
+    fn write_export_names_the_failing_step() {
+        let dir = std::env::temp_dir().join(format!("ziv-export-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = write_export(&dir, "latency CSV", |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("create latency CSV"), "{err}");
+        let path = dir.join("out.csv");
+        let err = write_export(&path, "blame CSV", |_| Err(std::io::Error::other("boom")));
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("write blame CSV"), "{err}");
+        write_export(&path, "grid CSV", |w| writeln!(w, "a,b")).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -999,7 +889,7 @@ mod tests {
             },
         );
         let mut obs = synthetic_observations();
-        obs.latency = Some(lat.finish());
+        obs.latency = Some(lat.finish(0));
         let cells = [ObservedCell {
             config: "I-LRU",
             workload: "w",

@@ -521,28 +521,22 @@ impl<'a> Engine<'a> {
         }
         let window_cycles = self.window();
         let h = &mut self.h;
-        let (events, events_recorded, heatmap, latency, leakage, forensics) =
-            match h.take_recorder() {
-                Some(rec) => rec.finish(),
-                None => (Vec::new(), 0, None, None, None, None),
-            };
-        let leakage = leakage.map(|mut l| {
-            l.cycles = window_cycles;
-            l
-        });
-        let profile = h.take_profiler().map(|p| p.report());
+        let rec = h.take_recorder().map(|r| r.finish()).unwrap_or_default();
         Some(Box::new(Observations {
             epochs: self
                 .slicer
                 .take()
                 .map_or_else(Vec::new, EpochSlicer::into_samples),
-            events,
-            events_recorded,
-            heatmap,
-            latency,
-            leakage,
-            forensics,
-            profile,
+            events: rec.events,
+            events_recorded: rec.events_recorded,
+            heatmap: rec.heatmap,
+            latency: rec.latency,
+            leakage: rec.leakage.map(|mut l| {
+                l.cycles = window_cycles;
+                l
+            }),
+            forensics: rec.forensics,
+            profile: h.take_profiler().map(|p| p.report()),
             dir_slice_occupancy: h.directory().slice_occupancies(),
         }))
     }

@@ -37,10 +37,8 @@ mod spec;
 
 pub use csv::{
     blame_to_csv, grid_to_csv, heatmap_to_csv, latency_to_csv, leakage_to_csv, sampling_to_csv,
-    summary_to_csv, timeseries_to_csv, validation_to_csv, write_blame_csv, write_grid_csv,
-    write_heatmap_csv, write_latency_csv, write_leakage_csv, write_sampling_csv, write_summary_csv,
-    write_timeseries_csv, write_validation_csv, ObservedCell, SampledCell, ValidationRow,
-    BLAME_COLUMNS, GRID_COLUMNS, LATENCY_COLUMNS, LEAKAGE_COLUMNS, SAMPLING_COLUMNS,
+    summary_to_csv, timeseries_to_csv, validation_to_csv, write_export, ObservedCell, SampledCell,
+    ValidationRow, BLAME_COLUMNS, GRID_COLUMNS, LATENCY_COLUMNS, LEAKAGE_COLUMNS, SAMPLING_COLUMNS,
     VALIDATION_COLUMNS,
 };
 pub use driver::{
@@ -48,7 +46,7 @@ pub use driver::{
     CoreRunStats, RunOptions, RunResult,
 };
 pub use effort::Effort;
-pub use perfetto::{perfetto_to_json, write_perfetto_json};
+pub use perfetto::perfetto_to_json;
 pub use report::{normalized_metric, speedup_summary, NormalizedRows};
 pub use sampling::{
     run_one_sampled, run_one_sampled_instrumented, run_paired_sampled_instrumented,

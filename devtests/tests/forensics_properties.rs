@@ -3,13 +3,13 @@
 //! against the hierarchy's `inclusion_victims` counter and the latency
 //! observatory's refetch account, ZIV never opens a chain, and the
 //! observatory's unit-level books balance under arbitrary
-//! open / victim / close / take / refetch scripts.
+//! open / victim / close / victim-table take / refetch scripts.
 
 use proptest::prelude::*;
 use ziv::prelude::*;
 use ziv_common::addr::LineAddr;
 use ziv_common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
-use ziv_core::observe::{FlightRecorder, ObserveConfig};
+use ziv_core::observe::{FlightRecorder, ObserveConfig, VictimTable};
 use ziv_core::{ChainKind, ForensicsObservatory, VictimReason};
 
 fn tiny(cores: usize) -> SystemConfig {
@@ -71,11 +71,11 @@ fn run_observed(
         now += 1 + h.access(&a, now, i as u64);
     }
     let victims = h.metrics().inclusion_victims;
-    let (_, _, _, latency, _, forensics) = h.take_recorder().expect("recorder attached").finish();
+    let rec = h.take_recorder().expect("recorder attached").finish();
     (
         victims,
-        latency.expect("latency on"),
-        forensics.expect("forensics on"),
+        rec.latency.expect("latency on"),
+        rec.forensics.expect("forensics on"),
     )
 }
 
@@ -164,6 +164,7 @@ proptest! {
         script in prop::collection::vec(chain_strategy(), 1..400),
     ) {
         let mut obs = ForensicsObservatory::new(3, 2, 4);
+        let mut table = VictimTable::new(3);
         let mut fed_victims = 0u64;
         let mut kept_chains = 0u64;
         let mut eci_kept = 0u64;
@@ -181,7 +182,8 @@ proptest! {
             );
             for v in 0..3 {
                 if c.victim_mask & (1 << v) != 0 {
-                    obs.chain_victim(CoreId::new(v));
+                    let seq = obs.chain_victim(CoreId::new(v));
+                    table.note(CoreId::new(v), line, CoreId::new(c.instigator), seq);
                     fed_victims += 1;
                 }
             }
@@ -196,13 +198,13 @@ proptest! {
             // take must name this chain, and a second take must miss
             // (one victimization explains at most one refetch).
             if let Some(v) = (0..3).find(|v| c.victim_mask & (1 << v) != 0) {
-                let (instigator, seq) = obs
-                    .take_victim(CoreId::new(v), line)
+                let entry = table
+                    .take(CoreId::new(v), line)
                     .expect("victimized line must be in the table");
-                prop_assert_eq!(instigator.index(), c.instigator);
-                obs.record_refetch(instigator, CoreId::new(v), seq, c.refetch_cycles);
+                prop_assert_eq!(entry.instigator.index(), c.instigator);
+                obs.record_refetch(entry.instigator, CoreId::new(v), entry.chain_seq, c.refetch_cycles);
                 fed_refetch_cycles += c.refetch_cycles;
-                prop_assert!(obs.take_victim(CoreId::new(v), line).is_none());
+                prop_assert!(table.take(CoreId::new(v), line).is_none());
             }
         }
         let report = obs.finish();

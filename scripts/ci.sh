@@ -6,6 +6,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every `cargo test` runs under a wall-clock limit (compile time
+# included), so a hung test fails CI and names its stage instead of
+# stalling every stage after it. The slowest stage, the debug
+# workspace run, takes about 9 minutes on a 2-vCPU host.
+TEST_TIMEOUT=2400
+timed() {
+    local stage="$1"
+    shift
+    local status=0
+    timeout --kill-after=30 "$TEST_TIMEOUT" "$@" || status=$?
+    if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+        echo "FAIL: stage '$stage' ran past ${TEST_TIMEOUT}s (hung test?)" >&2
+    fi
+    return "$status"
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -16,33 +32,34 @@ echo "== cargo build --release"
 cargo build --workspace --release
 
 echo "== cargo test"
-cargo test --workspace -q
+timed "cargo test" cargo test --workspace -q
 
 echo "== cargo test (release, debug assertions on)"
 # The figure campaigns run in release; keep the invariant-heavy paths
 # (auditor, ZIV guarantee fallback checks) exercised with
 # debug_assert!s compiled in at release optimization levels.
-RUSTFLAGS="-C debug-assertions" cargo test --workspace -q --release
+timed "cargo test (release, debug assertions on)" \
+    env RUSTFLAGS="-C debug-assertions" cargo test --workspace -q --release
 
 echo "== hot-path determinism differential (release, debug assertions on)"
 # Explicit run of the hot-path differential: every LLC mode twice under
 # the every-access auditor plus byte-identical campaign ledgers, with
 # the fused-probe/scratch-buffer debug_assert!s compiled in.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test hotpath_determinism
+timed "hotpath_determinism" env RUSTFLAGS="-C debug-assertions" cargo test -q --release --test hotpath_determinism
 
 echo "== latency-attribution conservation (release, debug assertions on)"
 # The observatory's books must balance exactly: per-component cycles
 # sum to the aggregate access_latency_cycles for every LLC mode under
 # the every-access auditor, and ZIV modes report exactly zero
 # inclusion-victim refetch cycles.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test latency_attribution
+timed "latency_attribution" env RUSTFLAGS="-C debug-assertions" cargo test -q --release --test latency_attribution
 
 echo "== causal-forensics conservation (release, debug assertions on)"
 # The blame matrix must account for every inclusion victim exactly,
 # its refetch cycles must agree with the latency observatory, ZIV
 # modes must record zero chains, and the blame.csv / trace.json
 # exports must be byte-identical across thread counts.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test forensics
+timed "forensics" env RUSTFLAGS="-C debug-assertions" cargo test -q --release --test forensics
 
 echo "== audit-enabled smoke campaign"
 # End-to-end through the release binary: every cell of the smallest
@@ -245,7 +262,7 @@ echo "== attack-leakage invariant tests (release, debug assertions on)"
 # conserve against Metrics::inclusion_victims, the inclusive baseline
 # leaks, every ZIV mode is exactly silent, and the attack-eval exports
 # are byte-identical across thread counts.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test attack_leakage
+timed "attack_leakage" env RUSTFLAGS="-C debug-assertions" cargo test -q --release --test attack_leakage
 
 echo "== chaos-soak drill (supervision gate: every injected fault isolated)"
 # The supervised-execution acceptance drill through the release binary:
@@ -276,7 +293,7 @@ echo "== perfbench output gate (simulated results vs the committed reference)"
 # so a short run of each workload proves full-run results are
 # byte-identical to the reference. Only the result line's correctness
 # fields gate here; its timings are machine-dependent.
-(cd perfbench && cargo test --release --offline -q)
+(cd perfbench && timed "perfbench tests" cargo test --release --offline -q)
 for workload in llc-bound private-bound sweep; do
     line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 | tail -n 1)"

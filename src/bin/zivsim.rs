@@ -1763,7 +1763,7 @@ fn cmd_blame(args: &[String], opts: &Options) -> Result<(), String> {
 
     // Both conservation laws, checked live: the blame matrix must
     // account for every inclusion victim, and its refetch-cycle total
-    // must agree with the latency observatory's independent accounting.
+    // must agree with the latency observatory's re-fetch class.
     let victims = report.total_victims();
     if victims != result.metrics.inclusion_victims {
         return Err(format!(
@@ -1774,11 +1774,11 @@ fn cmd_blame(args: &[String], opts: &Options) -> Result<(), String> {
     }
     let refetch_cycles = report.total_refetch_cycles();
     if let Some(lat) = obs.latency.as_ref() {
-        let independent = lat.inclusion_victim_refetch_cycles();
-        if refetch_cycles != independent {
+        let measured = lat.inclusion_victim_refetch_cycles();
+        if refetch_cycles != measured {
             return Err(format!(
                 "conservation violated: blame matrix attributes {refetch_cycles} refetch \
-                 cycle(s) but the latency observatory measured {independent}"
+                 cycle(s) but the latency observatory measured {measured}"
             ));
         }
     }
@@ -1849,8 +1849,10 @@ fn cmd_blame(args: &[String], opts: &Options) -> Result<(), String> {
             workload: &wl.name,
             observations: &obs,
         };
-        ziv::sim::write_blame_csv(std::path::Path::new(path), std::slice::from_ref(&cell))
-            .map_err(|e| e.to_string())?;
+        ziv::sim::write_export(std::path::Path::new(path), "blame CSV", |w| {
+            ziv::sim::blame_to_csv(std::slice::from_ref(&cell), w)
+        })
+        .map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
     Ok(())

@@ -22,11 +22,20 @@ fn attack_workload(recipe: AttackRecipe, cores: usize, accesses: usize, seed: u6
 }
 
 fn leakage_run(spec: &RunSpec, wl: &Workload) -> (RunResult, LeakageReport) {
+    let leakage_only = ObserveConfig {
+        leakage: true,
+        ..ObserveConfig::disabled()
+    };
+    leakage_run_with(spec, wl, leakage_only)
+}
+
+fn leakage_run_with(
+    spec: &RunSpec,
+    wl: &Workload,
+    observe: ObserveConfig,
+) -> (RunResult, LeakageReport) {
     let opts = RunOptions {
-        observe: ObserveConfig {
-            leakage: true,
-            ..ObserveConfig::disabled()
-        },
+        observe,
         ..RunOptions::default()
     };
     let (result, obs) = run_one_traced(spec, wl, &opts);
@@ -111,6 +120,39 @@ fn leakage_capture_does_not_perturb_results() {
             "leakage observatory perturbed {mode:?}"
         );
         assert_eq!(plain.cores, observed.cores);
+    }
+}
+
+/// Observers do not couple: the leakage report is the same whether
+/// the leakage observatory runs alone or beside the latency and
+/// forensics observatories, which share the recorder's victim table.
+/// Inclusive and ECI are the modes that tear private copies out, and
+/// ECI leaves the LLC copy behind, so its re-fetches are served on chip.
+#[test]
+fn leakage_report_does_not_depend_on_the_other_observatories() {
+    let everything = ObserveConfig {
+        leakage: true,
+        latency: true,
+        forensics: true,
+        ..ObserveConfig::disabled()
+    };
+    for recipe in [AttackRecipe::prime_probe(8), AttackRecipe::hammer(8)] {
+        let wl = attack_workload(recipe, 4, 2_000, 7);
+        for (label, mode) in [("I-LRU", LlcMode::Inclusive), ("ECI-LRU", LlcMode::Eci)] {
+            let s = spec(label, mode);
+            let (_, alone) = leakage_run(&s, &wl);
+            let (_, beside) = leakage_run_with(&s, &wl, everything);
+            assert!(
+                alone.total_back_invalidations() > 0,
+                "{label} × {}: the run must tear out private copies",
+                wl.name
+            );
+            assert_eq!(
+                alone, beside,
+                "{label} × {}: latency/forensics changed the leakage report",
+                wl.name
+            );
+        }
     }
 }
 

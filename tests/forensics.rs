@@ -198,6 +198,43 @@ fn inclusive_chains_account_for_every_victim_and_refetch_cycle() {
     }
 }
 
+/// Observers do not couple: the latency report is the same with the
+/// forensics observatory on or off, although both now read the one
+/// victim table the recorder keeps.
+#[test]
+fn latency_report_does_not_depend_on_forensics() {
+    let sys = SystemConfig::scaled();
+    let wl = victim_heavy_workload(&sys);
+    let latency_only = RunOptions {
+        observe: ObserveConfig {
+            latency: true,
+            ..ObserveConfig::disabled()
+        },
+        ..RunOptions::default()
+    };
+    for mode in [LlcMode::Inclusive, LlcMode::Eci] {
+        let spec = RunSpec::new(mode.label(), sys.clone()).with_mode(mode);
+        let latency = |opts: &RunOptions| {
+            let (result, obs) = run_one_traced(&spec, &wl, opts);
+            result.unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
+            obs.and_then(|o| o.latency).expect("latency observatory on")
+        };
+        let alone = latency(&latency_only);
+        let beside = latency(&forensics_opts());
+        assert!(
+            alone.inclusion_victim_refetch_cycles() > 0,
+            "{}: the mix must re-fetch torn-out lines",
+            mode.label()
+        );
+        assert_eq!(
+            alone,
+            beside,
+            "{}: forensics changed the latency report",
+            mode.label()
+        );
+    }
+}
+
 #[test]
 fn ziv_reports_zero_chains_on_the_victim_heavy_mix() {
     // The all-modes test proves the guarantee on a small trace; this

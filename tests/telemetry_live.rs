@@ -4,6 +4,7 @@
 //! contract — leave `ledger.jsonl` / `grid.csv` / `summary.csv`
 //! byte-identical to an unwatched run of the same grid.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::telemetry::{TelemetryReader, SEGMENT_FILE};
@@ -12,6 +13,15 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     std::env::temp_dir()
         .join("ziv-telemetry-it")
         .join(format!("{name}-{}", std::process::id()))
+}
+
+/// Sets the flag when dropped, including while unwinding.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
 }
 
 fn read(dir: &std::path::Path, file: &str) -> Vec<u8> {
@@ -47,15 +57,24 @@ fn watched_campaign_publishes_and_stays_byte_identical_to_unwatched() {
         telemetry: true,
         ..RunnerConfig::new(live_dir.clone())
     };
+    let abandoned = AtomicBool::new(false);
     let (outcome, observed) = std::thread::scope(|scope| {
         let live_dir = &live_dir;
         let campaign = &campaign;
+        let abandoned = &abandoned;
+        // If the campaign side panics, this flags the watcher to give up
+        // at once, so the scope joins and the test fails by name instead
+        // of waiting out the watcher's deadline.
+        let _abandon_watcher = SetOnDrop(abandoned);
         let watcher = scope.spawn(move || {
             let segment = live_dir.join(SEGMENT_FILE);
             let deadline = Instant::now() + Duration::from_secs(120);
             let reader = loop {
                 if let Ok(r) = TelemetryReader::open(&segment) {
                     break r;
+                }
+                if abandoned.load(Ordering::Acquire) {
+                    return (0, 0);
                 }
                 assert!(
                     Instant::now() < deadline,
@@ -76,6 +95,9 @@ fn watched_campaign_publishes_and_stays_byte_identical_to_unwatched() {
                         return (snapshots, mid_run);
                     }
                     mid_run += 1;
+                }
+                if abandoned.load(Ordering::Acquire) {
+                    return (snapshots, mid_run);
                 }
                 assert!(
                     Instant::now() < deadline,
